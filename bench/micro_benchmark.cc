@@ -3,13 +3,13 @@
 // coalescing, skip-list operations, warm-plan dominance queries, end-to-end
 // covering checks).
 //
-// Output: the usual console table, plus machine-readable JSON written to
-// BENCH_micro.json (override with --benchmark_out=...) so per-op ns and the
-// probes/cubes/runs counters feed the perf-trajectory tracking.
+// Output: the usual console table. Machine-readable JSON (per-op ns plus
+// the probes/cubes/runs counters) is opt-in, e.g.
+// --benchmark_out=BENCH_micro.json --benchmark_out_format=json to refresh
+// the committed perf archive; a plain or filtered run writes no file.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -742,17 +742,12 @@ BENCHMARK(BM_ChurnErase)
     ->UseRealTime();
 
 // ---- BM_ChurnQuery: covering checks interleaved with sustained churn —
-// the workload the adaptive head-probe estimate (head_probe == 0) actually
-// faces, which neither BM_Churn (publish_weight 0, no queries) nor
-// BM_CoveringCheckApprox (static index, no churn) reproduces.
+// the read side of a churning index, which neither BM_Churn
+// (publish_weight 0, no queries) nor BM_CoveringCheckApprox (static index,
+// no churn) reproduces.
 //
-// ArgPair: (live subscriptions, head_probe). head_probe 1 = the pinned
-// PR-4 scan-only head; 0 = adaptive depth from the plan's running
-// hit-at-rank histograms. Detection results and logical stats are
-// identical for both (the head only moves the physical restart/resume
-// split); items/sec counts covering checks, and query_p50_ns / query_p99_ns
-// time find_covering alone, so the /0-vs-/1 comparison is the
-// adaptive-default verdict on a churning index. Index config matches
+// Arg: live subscriptions. items/sec counts covering checks, and
+// query_p50_ns / query_p99_ns time find_covering alone. Index config matches
 // BM_Churn's production tombstone mode (skiplist hot tier, compressed cold
 // store, deferred compaction), so tombstone-laden frontiers — the state
 // PR-9 maintenance leaves behind between epochs — are what the queries
@@ -767,7 +762,6 @@ void BM_ChurnQuery(benchmark::State& state) {
   so.compact_live_fraction = 0.5;
   so.max_cubes = 4096;
   so.settle_on_budget = true;
-  so.head_probe = static_cast<int>(state.range(1));
   sfc_covering_index idx(s, so);
 
   workload::churn_gen_options co;
@@ -848,10 +842,8 @@ void BM_ChurnQuery(benchmark::State& state) {
   state.counters["resumed"] = per_query(resumed);
 }
 BENCHMARK(BM_ChurnQuery)
-    ->ArgPair(100'000, 1)
-    ->ArgPair(100'000, 0)
-    ->ArgPair(1'000'000, 1)
-    ->ArgPair(1'000'000, 0)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -1042,27 +1034,4 @@ BENCHMARK(BM_SimdKernelsLowerBound)->Arg(0)->Arg(1);
 }  // namespace
 }  // namespace subcover
 
-// Custom main: unless the caller passes --benchmark_out, also write the
-// results as JSON to BENCH_micro.json so perf tracking has a
-// machine-readable record of every run (per-op ns plus the probes / cubes /
-// runs counters).
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--benchmark_out") == 0 ||
-        std::strncmp(argv[i], "--benchmark_out=", 16) == 0)
-      has_out = true;
-  std::string out_flag = "--benchmark_out=BENCH_micro.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int ac = static_cast<int>(args.size());
-  benchmark::Initialize(&ac, args.data());
-  if (benchmark::ReportUnrecognizedArguments(ac, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -5,16 +5,17 @@ Usage:
     bench_compare.py BASELINE.json CURRENT.json [--threshold 0.10]
                      [--bytes-threshold 0.10] [--compression-floor 3.0]
                      [--counters-only] [--require PREFIX ...]
+                     [--allow-new PREFIX ...]
 
 For every benchmark present in both files, the per-op real_time of CURRENT
 is compared against BASELINE; the script exits non-zero if any benchmark is
 more than THRESHOLD slower (default +10%). Throughput benchmarks — those
 reporting items_per_second, e.g. the BM_NetworkThroughput family, whose
 per-iteration real_time tracks a whole workload rather than one op — are
-gated on items/sec instead: a drop of more than THRESHOLD fails. Benchmarks
-present in only one file are reported but never fail the run, so adding or
-retiring benchmarks does not break CI. Improvements are reported for the
-perf trajectory.
+gated on items/sec instead: a drop of more than THRESHOLD fails. Single
+benchmarks present in only one file are reported but do not fail the run,
+so adding or retiring an argument of a family does not break CI.
+Improvements are reported for the perf trajectory.
 
 Bytes gating: benchmarks reporting a `bytes_per_sub` counter (the
 BM_MemoryFootprint family) are additionally gated on that counter — growth
@@ -25,11 +26,18 @@ only the bytes counters, which is what the CI memory-footprint smoke job
 runs against a Debug binary.
 
 Required families: `--require PREFIX` (repeatable) fails the run unless
-CURRENT contains at least one benchmark whose name starts with PREFIX.
-"Missing benchmarks never fail" is the right default for retiring families,
-but it also means a family that silently stops being built (a glob miss, an
-#ifdef, a renamed registration) would drop out of the gate unnoticed —
---require pins the families CI depends on, e.g. --require BM_RecoveryReplay.
+both CURRENT and BASELINE contain at least one benchmark whose name starts
+with PREFIX. A family that silently stops being built (a glob miss, an
+#ifdef, a renamed registration) would otherwise drop out of the gate
+unnoticed — --require pins the families CI depends on, e.g. --require
+BM_RecoveryReplay.
+
+Baseline coverage: every family in CURRENT (the benchmark name up to its
+first '/') must also appear in BASELINE, or its timings are compared
+against nothing. A truncated baseline — a filtered run committed as the
+archive — therefore fails the gate instead of passing it vacuously.
+`--allow-new PREFIX` (repeatable) is the explicit opt-out for families a
+change adds before the archive is refreshed.
 
 Compression floor: within CURRENT alone, each BM_MemoryFootprint width pair
 (`.../<bits>/0` = materialized resident array, `.../<bits>/1` = compressed
@@ -70,6 +78,27 @@ def load(path):
             "bytes_per_sub": float(bps) if bps is not None else None,
         }
     return out
+
+
+def family(name):
+    return name.split("/", 1)[0]
+
+
+def gate_baseline_coverage(base, cur, required, allow_new):
+    """Families CURRENT has (plus the required prefixes) that BASELINE
+    lacks, excluding those matching an --allow-new prefix."""
+    base_families = {family(n) for n in base}
+    missing = {
+        f
+        for f in (family(n) for n in cur)
+        if f not in base_families and not any(f.startswith(p) for p in allow_new)
+    }
+    missing.update(
+        p
+        for p in required
+        if not any(n.startswith(p) for n in base) and not any(p.startswith(a) for a in allow_new)
+    )
+    return sorted(missing)
 
 
 def slowdown_ratio(base, cur):
@@ -232,8 +261,16 @@ def main():
         action="append",
         default=[],
         metavar="PREFIX",
-        help="fail unless CURRENT contains a benchmark starting with PREFIX "
-        "(repeatable; pins families the gate depends on)",
+        help="fail unless CURRENT and BASELINE both contain a benchmark "
+        "starting with PREFIX (repeatable; pins families the gate depends on)",
+    )
+    parser.add_argument(
+        "--allow-new",
+        action="append",
+        default=[],
+        metavar="PREFIX",
+        help="families starting with PREFIX may be absent from BASELINE "
+        "(repeatable; for families a change adds before re-archiving)",
     )
     args = parser.parse_args()
 
@@ -243,6 +280,7 @@ def main():
     missing_required = [
         prefix for prefix in args.require if not any(n.startswith(prefix) for n in cur)
     ]
+    missing_baseline = gate_baseline_coverage(base, cur, args.require, args.allow_new)
 
     time_regressions = [] if args.counters_only else gate_times(base, cur, args.threshold)
     bytes_regressions = gate_bytes(base, cur, args.bytes_threshold)
@@ -303,6 +341,15 @@ def main():
         )
         for prefix in missing_required:
             print(f"  {prefix}", file=sys.stderr)
+    if missing_baseline:
+        failed = True
+        print(
+            f"\nFAIL: {len(missing_baseline)} famil(ies) absent from the baseline "
+            f"{args.baseline} (truncated archive? --allow-new PREFIX for new families):",
+            file=sys.stderr,
+        )
+        for name in missing_baseline:
+            print(f"  {name}", file=sys.stderr)
     if failed:
         return 1
     print(f"\nOK: no regression (times, bytes) and compression floor holds.")

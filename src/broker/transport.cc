@@ -65,6 +65,7 @@ struct broker_daemon::op_state {
   conn* client = nullptr;        // client_done recipient; null = orphaned
   int pending_acks = 0;
   std::vector<sub_id> delivered;  // local + aggregated subtree deliveries
+  std::map<int, std::uint64_t> next_seq;  // per link: seq of this state's next send
 };
 
 // --- construction / recovery -------------------------------------------------
@@ -100,7 +101,7 @@ broker_daemon::broker_daemon(const schema& s, const covering_index_factory& fact
   if (had_state) ++metrics_.recoveries;
   for (const auto& r : rec.records) {
     note_applied(r.op, r.from, r.seq);
-    records_[r.op] = r;
+    records_[{r.op, r.from, r.seq}] = r;
   }
   load_dedup_aux(rec.aux);
   // Resume the local op-id counter past every op this broker ever
@@ -482,7 +483,7 @@ void broker_daemon::handle_client_msg(conn& c, const wire_msg& m) {
       if (st->pending_acks == 0)
         complete_op(op, *st);
       else
-        active_[op] = std::move(st);
+        active_[{op, kLocalLink, 0}] = std::move(st);
       return;
     }
     case msg_type::client_dump: {
@@ -527,7 +528,7 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
     if (st->pending_acks == 0)
       complete_op(m.op, *st);
     else
-      active_[m.op] = std::move(st);
+      active_[{m.op, from, m.seq}] = std::move(st);
     return;
   }
   if (m.seq > next) {
@@ -539,14 +540,15 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
 
   // Duplicate: only reconnect replay produces these.
   ++metrics_.duplicates_suppressed;
-  if (active_.count(m.op) != 0) return;  // in flight: our eventual ack covers it
+  const msg_key key{m.op, from, m.seq};
+  if (active_.count(key) != 0) return;  // in flight: our eventual ack covers it
 
   // The subtree's ack state died with a crash (ours or an ancestor's).
   // Rebuild it by deterministic re-emission — see transport.h.
   auto st = std::make_unique<op_state>();
   st->parent_link = from;
   st->parent_seq = m.seq;
-  if (const auto it = records_.find(m.op); it != records_.end()) {
+  if (const auto it = records_.find(key); it != records_.end()) {
     if (it->second.k == wal_record::kind::event_receipt)
       replay_publish(from, m, *st);
     else
@@ -561,7 +563,7 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
   if (st->pending_acks == 0)
     complete_op(m.op, *st);
   else
-    active_[m.op] = std::move(st);
+    active_[key] = std::move(st);
 }
 
 void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
@@ -569,6 +571,7 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
   r.op = m.op;
   r.from = from;
   r.seq = m.seq;
+  const msg_key key{m.op, from, m.seq};
   switch (m.type) {
     case msg_type::subscribe: {
       const auto action = broker_.handle_subscribe(from, m.id, m.body, metrics_);
@@ -578,7 +581,7 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
       r.forwarded_links = action.forward_links;
       wal_.append(r);
       note_applied(m.op, from, m.seq);
-      records_[m.op] = r;
+      records_[key] = r;
       for (const int link : action.forward_links) {
         ++metrics_.subscription_messages;
         wire_msg out;
@@ -597,7 +600,7 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
       r.reforwards = action.reforwards;
       wal_.append(r);
       note_applied(m.op, from, m.seq);
-      records_[m.op] = r;
+      records_[key] = r;
       for (const int link : action.forward_links) {
         ++metrics_.unsubscription_messages;
         wire_msg out;
@@ -622,7 +625,7 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
       r.k = wal_record::kind::event_receipt;
       wal_.append(r);
       note_applied(m.op, from, m.seq);
-      records_[m.op] = r;
+      records_[key] = r;
       for (const sub_id id : action.local_deliveries) {
         st.delivered.push_back(id);
         ++metrics_.deliveries;
@@ -697,13 +700,35 @@ void broker_daemon::replay_publish(int from, const wire_msg& m, op_state& st) {
 }
 
 void broker_daemon::emit_data(std::uint64_t op, int link, wire_msg m, op_state& st) {
+  auto [next, first] = st.next_seq.try_emplace(link, 0);
+  if (first) next->second = earlier_sends(op, st, link);
   m.op = op;
-  m.seq = send_seq_[op][link]++;
+  m.seq = next->second++;
   ++st.pending_acks;
   auto& slot = peers_[link];
-  slot.unacked.push_back({op, m.seq, m});
+  slot.unacked.push_back({op, m.seq, m, {op, st.parent_link, st.parent_seq}});
   if (slot.c != nullptr) queue_bytes(*slot.c, frame_msg(m));
   // else: the peer is down; the ledger entry goes out on reconnect.
+}
+
+std::uint64_t broker_daemon::earlier_sends(std::uint64_t op, const op_state& st,
+                                          int link) const {
+  // Per-op per-link seqs are a function of the logged records, never of
+  // timing: an op's data messages all arrive over one link in seq order,
+  // and each one's sends continue where the previous ones' left off. So a
+  // fresh message and a crash-recovery re-emission number their sends
+  // identically, however far the earlier messages' subtrees have got.
+  std::uint64_t n = 0;
+  for (auto it = records_.lower_bound({op, st.parent_link, 0});
+       it != records_.end() && it->first < msg_key{op, st.parent_link, st.parent_seq}; ++it) {
+    const wal_record& r = it->second;
+    n += static_cast<std::uint64_t>(
+        std::count(r.forwarded_links.begin(), r.forwarded_links.end(), link) +
+        std::count(r.withdrawn_links.begin(), r.withdrawn_links.end(), link) +
+        std::count_if(r.reforwards.begin(), r.reforwards.end(),
+                      [link](const auto& rf) { return rf.first == link; }));
+  }
+  return n;
 }
 
 void broker_daemon::handle_ack(int from, const wire_msg& m) {
@@ -713,8 +738,9 @@ void broker_daemon::handle_ack(int from, const wire_msg& m) {
                                  return e.op == m.op && e.seq == m.seq;
                                });
   if (it == slot.unacked.end()) return;  // stale re-ack of an already-acked send
+  const msg_key owner = it->owner;
   slot.unacked.erase(it);
-  const auto ait = active_.find(m.op);
+  const auto ait = active_.find(owner);
   if (ait == active_.end()) return;
   op_state& st = *ait->second;
   st.delivered.insert(st.delivered.end(), m.delivered.begin(), m.delivered.end());
@@ -749,8 +775,6 @@ void broker_daemon::complete_op(std::uint64_t op, op_state& st) {
     // else: the ack is lost with the dead connection; the parent replays
     // on reconnect and the duplicate path re-acks.
   }
-  active_.erase(op);
-  send_seq_.erase(op);
   maybe_checkpoint();
 }
 
@@ -802,14 +826,15 @@ void broker_daemon::resume_client_ops() {
   // was cut short by the crash, nothing else in the cluster will finish
   // it. Re-emit them all (completed ones cost a few suppressed duplicates
   // and empty re-acks; the incomplete one converges the cluster).
-  for (const auto& [op, r] : records_) {
+  for (const auto& [key, r] : records_) {
     if (r.from != kLocalLink) continue;
     if (r.k == wal_record::kind::event_receipt) continue;  // no payload to replay
     auto st = std::make_unique<op_state>();
     st->parent_link = kLocalLink;
+    st->parent_seq = r.seq;
     st->client = nullptr;  // its client died with the previous incarnation
     replay_record(r, *st);
-    if (st->pending_acks > 0) active_[op] = std::move(st);
+    if (st->pending_acks > 0) active_[key] = std::move(st);
     // pending == 0 (leaf broker): nothing to do — state is durable and
     // there is no client to notify.
   }

@@ -46,10 +46,12 @@
 //   * A duplicate data message whose record is still in the log replays
 //     that record's emissions (subscribe: forwarded_links; unsubscribe:
 //     withdrawals then reforwards, original order) with regenerated
-//     per-op per-link seq numbers — which match the originals, because a
-//     broker sends for an op only from its single process() of that op,
-//     in deterministic order. Downstream brokers suppress what they
-//     already applied and re-ack; fresh receivers just process.
+//     per-op per-link seq numbers — which match the originals, because
+//     each data message's sends on a link continue after those the op's
+//     earlier messages logged there, in deterministic order (one op can
+//     bring a broker several messages: a withdrawal that re-forwards).
+//     Downstream brokers suppress what they already applied and re-ack;
+//     fresh receivers just process.
 //   * A duplicate publish re-runs handle_event (events mutate no routing
 //     state and the cluster runs one operation at a time, so the recompute
 //     sees the same routing tables) using the event payload carried by the
@@ -82,6 +84,7 @@
 // network_metrics but are excluded from same_counters.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -150,11 +153,22 @@ class broker_daemon {
 
  private:
   struct conn;       // one socket: peer, client, or not-yet-identified
-  struct op_state;   // one in-flight operation's ack bookkeeping
+  struct op_state;   // one in-flight data message's ack bookkeeping
+  // The data message an op_state (and its WAL record) belongs to. One
+  // operation can bring a broker several data messages over the same link
+  // — a withdrawal that re-forwards sends the unsubscribe and then the
+  // re-forwarded subscribe — and each is acknowledged on its own.
+  struct msg_key {
+    std::uint64_t op = 0;
+    int from = 0;  // sender broker id, or kLocalLink for a client
+    std::uint64_t seq = 0;
+    auto operator<=>(const msg_key&) const = default;
+  };
   struct ledger_entry {
     std::uint64_t op = 0;
     std::uint64_t seq = 0;
     wire_msg msg;
+    msg_key owner;  // the in-flight state awaiting this send's ack
   };
   struct peer_slot {
     peer_addr addr;
@@ -192,6 +206,9 @@ class broker_daemon {
   void replay_record(const wal_record& r, op_state& st);
   void replay_publish(int from, const wire_msg& m, op_state& st);
   void emit_data(std::uint64_t op, int link, wire_msg m, op_state& st);
+  // Sends to `link` made by the data messages of `op` this broker received
+  // before st's — the first seq st's own sends there take.
+  std::uint64_t earlier_sends(std::uint64_t op, const op_state& st, int link) const;
   void complete_op(std::uint64_t op, op_state& st);
   void note_applied(std::uint64_t op, int from, std::uint64_t seq);
   void maybe_checkpoint();
@@ -217,12 +234,10 @@ class broker_daemon {
   // Duplicate suppression: op -> (from -> next expected seq). Grows with
   // operation count (see header comment — lifetime-scoped by design).
   std::map<std::uint64_t, std::map<int, std::uint64_t>> applied_;
-  // Post-snapshot records by op, for duplicate-replay; cleared at checkpoint.
-  std::map<std::uint64_t, wal_record> records_;
-  std::map<std::uint64_t, std::unique_ptr<op_state>> active_;
-  // Per-op per-link send sequence counters (deterministically regenerated
-  // after a crash — see header comment).
-  std::map<std::uint64_t, std::map<int, std::uint64_t>> send_seq_;
+  // Post-snapshot records by data message, for duplicate-replay; cleared at
+  // checkpoint.
+  std::map<msg_key, wal_record> records_;
+  std::map<msg_key, std::unique_ptr<op_state>> active_;
 };
 
 // Blocking client used by drivers, tests, and the supervisor: connect to a

@@ -34,9 +34,8 @@ struct sfc_covering_options {
   // of per-run descents. Identical detection results either way.
   bool batched_probe = true;
   // Head-probe depth before the frontier sweep engages (see
-  // dominance_options::head_probe): 1 = the pinned PR-4 behavior, 0 =
-  // adaptive from the plan's running hit-at-rank estimate, > 1 = fixed
-  // deeper head. Identical detection results for every setting.
+  // dominance_options::head_probe): 1 = the pinned scan-only head, > 1 =
+  // fixed deeper head. Identical detection results for every setting.
   int head_probe = 1;
   // SIMD policy for the dominance plan's level-frontier kernels (see
   // dominance_options::simd / util/simd.h). Identical detection results and

@@ -164,9 +164,8 @@ dominance_index::dominance_index(const universe& u, dominance_options options)
       options_(options),
       width_(options.width == key_width::automatic ? select_key_width(u.key_bits())
                                                    : options.width) {
-  if (options_.head_probe < 0)
-    throw std::invalid_argument(
-        "dominance_index: head_probe must be >= 0 (0 = adaptive)");
+  if (options_.head_probe < 1)
+    throw std::invalid_argument("dominance_index: head_probe must be >= 1");
   switch (width_) {
     case key_width::w64:
       engine_.emplace<engine<std::uint64_t>>(

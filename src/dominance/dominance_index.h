@@ -77,17 +77,14 @@ struct dominance_options {
   bool batched_probe = true;
   // How many of a level's top-volume runs are probed individually (one
   // fresh first_in descent each) before the batched frontier sweep engages
-  // for the remainder. 1 (the pinned default) reproduces the PR-4 behavior
-  // exactly: probe rank 0 alone — found by one O(m) scan, no sort — and
-  // only a miss engages the ordering + sweep machinery. 0 selects the depth
-  // adaptively per plan: the plan keeps a running histogram of the rank at
-  // which past queries hit and probes the smallest prefix that captured
-  // >= 90% of them (clamped to 8). Values > 1 force a fixed deeper head.
-  // Results and all logical query_stats are identical for every setting
-  // (the probe order never changes); only the physical restart/resume split
-  // varies. Applies to both batched paths (merged runs, and the cube-count
-  // path when merge_runs is false); ignored on the single-range reference
-  // path. Negative values throw std::invalid_argument at construction.
+  // for the remainder. 1 (the pinned default) probes rank 0 alone — found
+  // by one O(m) scan, no sort — and only a miss engages the ordering +
+  // sweep machinery. Values > 1 force a fixed deeper head. Results and all
+  // logical query_stats are identical for every setting (the probe order
+  // never changes); only the physical restart/resume split varies. Applies
+  // to both batched paths (merged runs, and the cube-count path when
+  // merge_runs is false); ignored on the single-range reference path.
+  // Values < 1 throw std::invalid_argument at construction.
   int head_probe = 1;
   // How the query plan runs its level-frontier kernels (util/simd.h):
   // `automatic` (the default) uses the runtime-dispatched scalar/SSE4.2/AVX2

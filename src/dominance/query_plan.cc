@@ -6,10 +6,12 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "dominance/dominance_index.h"
 #include "sfc/extremal_decomposition.h"
 #include "sfcarray/tiered_sfc_array.h"
+#include "util/radix_sort.h"
 #include "util/simd_kernels.h"
 #include "util/timer.h"
 
@@ -192,47 +194,11 @@ query_plan::query_plan(const dominance_index& index) : index_(&index) {
         state_.emplace<typed_state<K>>(std::move(ts));
       },
       index.engine_);
-  // One histogram cell per (level, epsilon bucket); sized here so the hot
-  // path never allocates.
-  adaptive_.resize(static_cast<std::size_t>(index.space().bits() + 1) * kAdaptiveEpsBuckets);
 }
 
 std::optional<std::uint64_t> query_plan::run(const point& x, double epsilon,
                                              query_stats* stats) {
   return std::visit([&](auto& ts) { return run_impl(ts, x, epsilon, stats); }, state_);
-}
-
-std::size_t query_plan::eps_bucket(double epsilon) {
-  if (epsilon <= 0) return 0;  // exhaustive queries get their own cell
-  // Quantize by magnitude: epsilons within a factor of two share a cell.
-  int e = 0;
-  (void)std::frexp(epsilon, &e);  // epsilon = f * 2^e, f in [0.5, 1)
-  const int mag = -e;             // 0 for [0.5, 1), 1 for [0.25, 0.5), ...
-  const int cap = static_cast<int>(kAdaptiveEpsBuckets) - 2;
-  return 1 + static_cast<std::size_t>(std::min(mag, cap));
-}
-
-void query_plan::note_hit_rank(int level, std::size_t eps_b, std::size_t rank) {
-  adaptive_hist& h = adaptive_[static_cast<std::size_t>(level) * kAdaptiveEpsBuckets + eps_b];
-  ++h.counts[std::min(rank, kAdaptiveMaxHead - 1)];
-  if (++h.total < kAdaptiveDecayCap) return;
-  // Decay: halve every bucket (rounding up, so an occupied bucket never
-  // vanishes outright) and recount, so the estimate tracks the recent
-  // workload instead of the whole history.
-  for (auto& c : h.counts) c -= c >> 1;
-  h.total = simd::sum_u64(h.counts.data(), kAdaptiveMaxHead);
-}
-
-std::size_t query_plan::adaptive_head_depth(int level, std::size_t eps_b) const {
-  const adaptive_hist& h =
-      adaptive_[static_cast<std::size_t>(level) * kAdaptiveEpsBuckets + eps_b];
-  // Behave like the pinned h = 1 until this cell has seen enough hits.
-  if (h.total < kAdaptiveMinSamples) return 1;
-  const std::uint64_t target = (h.total * 9 + 9) / 10;  // ceil(0.9 * hits)
-  std::uint64_t prefix[kAdaptiveMaxHead];
-  simd::prefix_sum_u64(h.counts.data(), prefix, kAdaptiveMaxHead);
-  const std::size_t r = simd::first_geq_u64(prefix, 0, kAdaptiveMaxHead, target);
-  return r < kAdaptiveMaxHead ? r + 1 : kAdaptiveMaxHead;
 }
 
 template <class K>
@@ -247,7 +213,7 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
     throw std::invalid_argument("dominance_index::query: point outside universe");
   const stopwatch timer;
   const simd_mode mode = opts.simd;
-  const std::size_t eps_b = eps_bucket(epsilon);
+  const auto head_depth = static_cast<std::size_t>(opts.head_probe);
 
   const extremal_rect full = extremal_rect::query_region(u, x);
   const long double vol_full = full.volume_ld();
@@ -354,8 +320,13 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       // Coalesce on the key column: sort the lows, then chain cubes that
       // sit exactly one cube span apart — byte-identical to
       // merge_ranges_inplace on the materialized ranges (equal-size aligned
-      // cubes can never overlap or be closer than one span).
-      std::sort(ts.lo_col.begin(), ts.lo_col.end());
+      // cubes can never overlap or be closer than one span). The lows of a
+      // level are distinct, so the radix sort's order is std::sort's.
+      if constexpr (std::is_same_v<K, std::uint64_t>) {
+        radix::sort_u64(ts.lo_col.data(), cube_count, lo_scratch_);
+      } else {
+        std::sort(ts.lo_col.begin(), ts.lo_col.end());
+      }
       ts.run_lo.resize(cube_count);
       ts.run_hi.resize(cube_count);
       if (cube_count == 1) {
@@ -404,16 +375,11 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       // that one probe usually decides the level. head_probe generalizes
       // the idea: probe the top `head_count` volume ranks individually
       // (fresh descents, in rank order) and only engage the sweep for the
-      // ranks behind them. head_count == 1 — the pinned default —
-      // reproduces PR-4 exactly: rank 0 is found with one O(run_count)
-      // scan (cheaper than a full sort) and only a miss sorts at all;
-      // deeper heads (fixed h > 1, or the adaptive estimate) sort up
-      // front, betting that hits land past rank 0 often enough to repay
-      // it.
-      const std::size_t head_req =
-          opts.head_probe >= 1 ? static_cast<std::size_t>(opts.head_probe)
-                               : adaptive_head_depth(i, eps_b);
-      const std::size_t head_count = std::min(head_req, run_count);
+      // ranks behind them. head_count == 1 — the pinned default — finds
+      // rank 0 with one O(run_count) scan and only a miss orders the
+      // frontier at all; a deeper fixed head orders up front, betting that
+      // hits land past rank 0 often enough to repay it.
+      const std::size_t head_count = std::min(head_depth, run_count);
       // Extent lanes: the volume key of every ordering and accumulation
       // below.
       ts.run_ext.resize(run_count);
@@ -427,16 +393,23 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       // -> position map over the merged frontier, sorted on the extent/lo
       // columns. One definition shared by the head probes and the sweep
       // replay, so they cannot diverge. probes_before's lo tie-break is
-      // well-defined here: merged ranges have distinct lows.
+      // well-defined here: merged ranges have distinct lows. The run columns
+      // are key-ascending, so at u64 a stable descending radix argsort on
+      // the extents alone yields exactly the (extent desc, lo asc) order.
       const auto ensure_replay_order = [&] {
         if (ordered) return;
-        replay_order_.resize(run_count);
-        std::iota(replay_order_.begin(), replay_order_.end(), 0U);
-        std::sort(replay_order_.begin(), replay_order_.end(),
-                  [&ext = ts.run_ext, &lo = ts.run_lo](std::uint32_t a, std::uint32_t b) {
-                    if (ext[a] != ext[b]) return ext[b] < ext[a];
-                    return lo[a] < lo[b];
-                  });
+        if constexpr (std::is_same_v<K, std::uint64_t>) {
+          radix::argsort_u64(ts.run_ext.data(), run_count, radix::direction::descending,
+                             replay_order_, order_scratch_);
+        } else {
+          replay_order_.resize(run_count);
+          std::iota(replay_order_.begin(), replay_order_.end(), 0U);
+          std::sort(replay_order_.begin(), replay_order_.end(),
+                    [&ext = ts.run_ext, &lo = ts.run_lo](std::uint32_t a, std::uint32_t b) {
+                      if (ext[a] != ext[b]) return ext[b] < ext[a];
+                      return lo[a] < lo[b];
+                    });
+        }
         ordered = true;
       };
       // Probing of this level ended (hit or coverage reached). Distinct
@@ -460,7 +433,6 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
           st.found = true;
           done = true;
           level_stop = true;
-          note_hit_rank(i, eps_b, 0);
         } else if (epsilon > 0 && searched >= coverage_target) {
           done = true;
           level_stop = true;
@@ -480,7 +452,6 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
             st.found = true;
             done = true;
             level_stop = true;
-            note_hit_rank(i, eps_b, j);
           } else if (epsilon > 0 && searched >= coverage_target) {
             done = true;
             level_stop = true;
@@ -569,7 +540,6 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
             result = hit_id_[j];
             st.found = true;
             done = true;
-            note_hit_rank(i, eps_b, j);
             break;
           }
           if (epsilon > 0 && searched >= coverage_target) {
@@ -588,10 +558,7 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       // key-sorted frontier sweep and replay in enumeration order. Logical
       // stats are byte-identical to the per-cube reference path; only the
       // physical restart/resume split moves.
-      const std::size_t head_req =
-          opts.head_probe >= 1 ? static_cast<std::size_t>(opts.head_probe)
-                               : adaptive_head_depth(i, eps_b);
-      const std::size_t head_count = std::min(head_req, run_count);
+      const std::size_t head_count = std::min(head_depth, run_count);
       const long double cube_ld = key_traits<K>::to_long_double(level_mask) + 1.0L;
       bool level_stop = false;
       for (std::size_t j = 0; j < head_count && !level_stop; ++j) {
@@ -604,7 +571,6 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
           st.found = true;
           done = true;
           level_stop = true;
-          note_hit_rank(i, eps_b, j);
         } else if (epsilon > 0 && searched >= coverage_target) {
           done = true;
           level_stop = true;
@@ -629,11 +595,17 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
         // sorted into key order (cubes are disjoint with distinct lows, so
         // the order is strict), each carrying its enumeration rank.
         const std::size_t pn = probe_count - head_count;
-        replay_order_.resize(pn);
-        std::iota(replay_order_.begin(), replay_order_.end(),
-                  static_cast<std::uint32_t>(head_count));
-        std::sort(replay_order_.begin(), replay_order_.end(),
-                  [&lo = ts.lo_col](std::uint32_t a, std::uint32_t b) { return lo[a] < lo[b]; });
+        if constexpr (std::is_same_v<K, std::uint64_t>) {
+          radix::argsort_u64(ts.lo_col.data() + head_count, pn, radix::direction::ascending,
+                             replay_order_, order_scratch_);
+          for (auto& pos : replay_order_) pos += static_cast<std::uint32_t>(head_count);
+        } else {
+          replay_order_.resize(pn);
+          std::iota(replay_order_.begin(), replay_order_.end(),
+                    static_cast<std::uint32_t>(head_count));
+          std::sort(replay_order_.begin(), replay_order_.end(),
+                    [&lo = ts.lo_col](std::uint32_t a, std::uint32_t b) { return lo[a] < lo[b]; });
+        }
         ts.probe_ranges.resize(pn);
         probe_rank_.resize(pn);
         for (std::size_t s = 0; s < pn; ++s) {
@@ -668,7 +640,6 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
             result = hit_id_[j];
             st.found = true;
             done = true;
-            note_hit_rank(i, eps_b, j);
             break;
           }
           if (epsilon > 0 && searched >= coverage_target) {

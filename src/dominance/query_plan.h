@@ -36,6 +36,21 @@
 // Results, stop decisions and all logical query_stats are identical for
 // every setting at every key width; only speed moves.
 //
+// Linear-time frontier ordering: with comparison sorts, putting a level in
+// order — sorting the cube lows, then ranking the runs by volume — cost a
+// batched covering check more than enumeration and probing, so at u64
+// width both sorts are the LSD radix primitives of util/radix_sort.h. The low sort visits only the digits that vary across the column:
+// level-i lows have their low d*i bits zero and every key is below
+// 2^(d*k), so those digits are skipped outright. The lows of a level are
+// distinct, so the output is std::sort's exactly. The replay order is a
+// stable descending counting sort on the run extents (hi - lo, i.e. run
+// length in cubes, scaled): the run columns are already key-ascending, so
+// stability reproduces probes_before's ascending-lo tie-break exactly.
+// Wider keys keep std::sort, and the width-equivalence suites cross-check
+// the two. Both sorts replace the comparison sorts outright — there is no
+// option selecting between them — so results and stats are byte-identical
+// to the comparison-sorted plan by construction.
+//
 // Batched frontier probing (the default, dominance_options::batched_probe):
 // instead of one independent first_in per run — each a fresh O(log n)
 // descent of the SFC array — the plan hands the whole merged, key-ascending
@@ -51,13 +66,12 @@
 // probes first, which on hit-dense workloads usually decides the level —
 // is found with one O(m) scan and probed alone before any ordering work;
 // only a miss engages the sort + sweep machinery for the remaining ranks.
-// dominance_options::head_probe generalizes that head: a fixed depth h
+// dominance_options::head_probe generalizes that head: a fixed depth h >= 1
 // probes the top-h volume ranks individually (fresh descents, in rank
-// order) before the sweep answers the rest, and h == 0 picks the depth
-// adaptively (see below). The pinned default h = 1 keeps the scan-only
-// fast path; results and every logical query_stats field are identical at
-// every depth (the probe order never changes — only the restart/resume
-// split of the physical counters moves).
+// order) before the sweep answers the rest. The pinned default h = 1 keeps
+// the scan-only fast path; results and every logical query_stats field are
+// identical at every depth (the probe order never changes — only the
+// restart/resume split of the physical counters moves).
 // Two prunings keep the sweep from touching runs the replay can never
 // reach: (a) with epsilon > 0 the coverage stop point depends only on run
 // volumes, so the sweep is cut to the exact volume-order prefix the replay
@@ -85,7 +99,8 @@
 //
 // Scratch-buffer contract: a plan owns every buffer the search needs (the
 // per-level cube counts, the frontier columns of the current level, the
-// batched sweep's order/rank/answer buffers, and the array probe cursor).
+// radix sorts' scratch, the batched sweep's order/rank/answer buffers, and
+// the array probe cursor).
 // Buffers are reused across run() calls, so after the first query of a
 // given shape the hot path performs zero heap allocations: no
 // std::function dispatch (template visitors), no materialization of the
@@ -101,7 +116,6 @@
 // query_plan over the shared index.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <variant>
@@ -171,33 +185,6 @@ class query_plan {
   std::optional<std::uint64_t> run_impl(typed_state<K>& ts, const point& x, double epsilon,
                                         query_stats* stats);
 
-  // --- adaptive head-probe estimate (dominance_options::head_probe == 0) --
-  // Hit-rank behavior differs sharply by frontier shape: top levels of a
-  // big region hit at rank 0 almost always, deep levels and loose epsilons
-  // spread hits across ranks. So the estimate keys its histograms by
-  // (level, epsilon bucket) — epsilon quantized by magnitude into
-  // kAdaptiveEpsBuckets power-of-two bands (bucket 0 = exhaustive) — and
-  // decays each histogram by halving once kAdaptiveDecayCap observations
-  // accumulate, so the depth tracks the current workload instead of the
-  // whole history. The adaptive depth is the smallest rank prefix that
-  // captured >= 90% of that cell's past hits (ranks >= kAdaptiveMaxHead - 1
-  // pool in the last bucket); until a cell has seen kAdaptiveMinSamples
-  // hits it stays at the pinned default of 1. Depth choices never affect
-  // results — only the restart/resume split of the physical counters.
-  // Plain plan state, not synchronized: a plan is single-threaded scratch
-  // by contract.
-  static constexpr std::size_t kAdaptiveMaxHead = 8;
-  static constexpr std::uint64_t kAdaptiveMinSamples = 32;
-  static constexpr std::uint64_t kAdaptiveDecayCap = 256;
-  static constexpr std::size_t kAdaptiveEpsBuckets = 8;
-  struct adaptive_hist {
-    std::array<std::uint64_t, kAdaptiveMaxHead> counts{};
-    std::uint64_t total = 0;
-  };
-  [[nodiscard]] static std::size_t eps_bucket(double epsilon);
-  void note_hit_rank(int level, std::size_t eps_b, std::size_t rank);
-  [[nodiscard]] std::size_t adaptive_head_depth(int level, std::size_t eps_b) const;
-
   const dominance_index* index_;
   std::vector<u512> level_counts_;  // Lemma 3.5 counts, reused per query
   // Batched-probe scratch (key-type independent, reused across queries):
@@ -213,7 +200,10 @@ class query_plan {
   std::vector<std::uint32_t> suffix_min_rank_;
   std::vector<std::uint8_t> hit_found_;
   std::vector<std::uint64_t> hit_id_;
-  std::vector<adaptive_hist> adaptive_;  // (bits + 1) x kAdaptiveEpsBuckets
+  // Radix-sort scratch (u64 width only): the cube-low sort's ping-pong
+  // column and the argsorts' permutation buffer.
+  std::vector<std::uint64_t> lo_scratch_;
+  std::vector<std::uint32_t> order_scratch_;
   std::variant<typed_state<std::uint64_t>, typed_state<u128>, typed_state<u512>> state_;
 };
 

@@ -183,16 +183,16 @@ TEST(QueryPlan, BatchedProbeIsByteIdenticalToSingleRangePath) {
 TEST(QueryPlan, HeadProbeDepthPreservesResults) {
   // dominance_options::head_probe moves probes between the individual-head
   // and frontier-sweep execution strategies but never changes the probe
-  // order, so every depth — the pinned default 1, fixed deeper heads, and
-  // the adaptive estimate (0) — must return the same hit and the same
-  // logical stats as the single-range reference path on the same data.
+  // order, so every depth — the pinned default 1 and fixed deeper heads —
+  // must return the same hit and the same logical stats as the single-range
+  // reference path on the same data.
   rng gen(7117);
   const universe u(2, 6);
   dominance_options ref_opts;
   ref_opts.batched_probe = false;
   dominance_index ref_idx(u, ref_opts);
   std::deque<dominance_index> idxs;
-  const int depths[] = {1, 2, 4, 7, 0};
+  const int depths[] = {1, 2, 4, 7};
   for (const int h : depths) {
     dominance_options o;
     o.head_probe = h;
@@ -203,12 +203,12 @@ TEST(QueryPlan, HeadProbeDepthPreservesResults) {
     ref_idx.insert(p, i);
     for (auto& idx : idxs) idx.insert(p, i);
   }
-  // Negative depths are rejected up front, not silently mapped to adaptive.
-  dominance_options bad;
-  bad.head_probe = -1;
-  EXPECT_THROW(dominance_index(u, bad), std::invalid_argument);
-  // Enough queries that the adaptive plan passes its minimum-sample gate
-  // and starts choosing depths from its own histogram.
+  // Depths below 1 are rejected up front.
+  for (const int h : {0, -1}) {
+    dominance_options bad;
+    bad.head_probe = h;
+    EXPECT_THROW(dominance_index(u, bad), std::invalid_argument) << "head_probe=" << h;
+  }
   for (const double eps : {0.0, 0.1, 0.5}) {
     for (int q = 0; q < 120; ++q) {
       const point x = random_point(gen, u);

@@ -1,7 +1,7 @@
 // SIMD-mode equivalence: the vectorized query pipeline must be
 // byte-identical to its scalar references.
 //
-// Three layers of pinning, per ISSUE 8's acceptance bar:
+// Two layers of pinning:
 //   * dominance_options::simd — `automatic` (runtime-dispatched kernels)
 //     and `force_scalar` (the kernel library's scalar backend through the
 //     same call sites) against `off` (the plan's plain-loop oracles), for
@@ -15,9 +15,6 @@
 //     against its single-range reference (batched_probe off): same results
 //     and logical stats, strictly less probe-restart work once frontiers
 //     have more than one cube.
-//   * Adaptive head probing (head_probe = 0) on a long-lived plan against
-//     fixed depths: the histogram may move the restart/resume split but
-//     never the answer.
 //
 // The process-wide SUBCOVER_FORCE_SCALAR override is exercised by running
 // the whole suite under it (CI's forced-scalar job); these tests pin the
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "dominance/dominance_index.h"
-#include "dominance/query_plan.h"
 #include "util/random.h"
 
 namespace subcover {
@@ -169,43 +165,6 @@ TEST(SimdEquivalence, CubeCountBatchedPathMatchesReferenceAndRestartsLess) {
   // frontier sweep and saved restarts.
   EXPECT_GT(bat_batches, 0u);
   EXPECT_LT(bat_restarts, ref_restarts);
-}
-
-TEST(SimdEquivalence, AdaptiveHeadDepthPreservesResultsOnAWarmPlan) {
-  const universe u(3, 8);
-  rng gen(7);
-  for (const bool merge : {true, false}) {
-    dominance_options fixed;
-    fixed.merge_runs = merge;
-    fixed.array = sfc_array_kind::sorted_vector;
-    dominance_options adaptive = fixed;
-    adaptive.head_probe = 0;
-
-    dominance_index fi(u, fixed);
-    dominance_index ai(u, adaptive);
-    for (int i = 0; i < 150; ++i) {
-      const point p = random_point(gen, u);
-      fi.insert(p, static_cast<std::uint64_t>(i));
-      ai.insert(p, static_cast<std::uint64_t>(i));
-    }
-
-    // A long-lived plan so the rank histograms accumulate and decay; every
-    // single query must still match the fixed-depth index exactly on the
-    // logical ledger.
-    query_plan warm(ai);
-    for (const double eps : {0.0, 0.02, 0.2}) {
-      for (int q = 0; q < 120; ++q) {
-        const point x = random_point(gen, u);
-        const std::string what = std::string("merge=") + std::to_string(merge) +
-                                 " eps=" + std::to_string(eps) + " x=" + x.to_string();
-        query_stats sf, sa;
-        const auto rf = fi.query(x, eps, &sf);
-        const auto ra = warm.run(x, eps, &sa);
-        EXPECT_EQ(rf, ra) << what;
-        expect_same_logical_stats(sf, sa, what);
-      }
-    }
-  }
 }
 
 TEST(SimdEquivalence, SimdModeComposesWithTieringAndSkiplist) {

@@ -57,7 +57,7 @@ int bind_loopback_listener(int* port_out) {
   return fd;
 }
 
-[[noreturn]] void broker_child(int id, const std::array<int, kBrokers>& fds,
+[[noreturn]] void broker_child(int id, const schema& s, const std::array<int, kBrokers>& fds,
                                const std::array<int, kBrokers>& ports,
                                const std::string& wal_root) {
   for (int b = 0; b < kBrokers; ++b)
@@ -75,7 +75,6 @@ int bind_loopback_listener(int* port_out) {
     o.reconnect_base_ms = 10;
     o.reconnect_cap_ms = 200;
     o.checkpoint_every = 16;
-    const schema s = workload::make_sensor_schema();
     broker_daemon d(
         s, [](const schema& sc) { return std::make_unique<sfc_covering_index>(sc); }, o);
     d.run();
@@ -130,12 +129,13 @@ TEST(TcpClusterTest, KillAndRecoverConvergesByteIdentical) {
   std::array<int, kBrokers> ports{};
   for (int b = 0; b < kBrokers; ++b) fds[b] = bind_loopback_listener(&ports[b]);
 
+  const schema s = workload::make_sensor_schema();
   std::array<pid_t, kBrokers> pids{-1, -1, -1};
   child_reaper reaper{pids};
   const auto spawn = [&](int id) {
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
-    if (pid == 0) broker_child(id, fds, ports, wal_root);
+    if (pid == 0) broker_child(id, s, fds, ports, wal_root);
     pids[static_cast<std::size_t>(id)] = pid;
   };
   for (int b = 0; b < kBrokers; ++b) spawn(b);
@@ -157,7 +157,6 @@ TEST(TcpClusterTest, KillAndRecoverConvergesByteIdentical) {
   // operation, refB does. Pre-dispute they are fed identically (same
   // deterministic engine, so they stay byte-identical and assign the same
   // subscription ids).
-  const schema s = workload::make_sensor_schema();
   network_options no;
   no.use_covering = true;
   const auto make_ref = [&] {
@@ -303,6 +302,82 @@ TEST(TcpClusterTest, KillAndRecoverConvergesByteIdentical) {
     wire_msg m;
     m.type = msg_type::client_shutdown;
     c.send(m);
+  }
+  for (int b = 0; b < kBrokers; ++b) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pids[b], &status, 0), pids[b]);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "broker " << b;
+    pids[b] = -1;
+  }
+  for (const int fd : fds) ::close(fd);
+  std::filesystem::remove_all(wal_root);
+}
+
+TEST(TcpClusterTest, WithdrawalThatReforwardsCompletes) {
+  // At an end broker of the line: subscribe A, subscribe B (covered by A,
+  // so suppressed), then withdraw A. The end broker sends its neighbor two
+  // data messages under the one withdrawal op — the unsubscribe of A and
+  // the re-forwarded subscribe of B — and each must be acknowledged on its
+  // own for the client's operation to complete.
+  constexpr int kTimeoutMs = 10000;
+
+  char wal_template[] = "/tmp/subcover-tcp-XXXXXX";
+  ASSERT_NE(::mkdtemp(wal_template), nullptr);
+  const std::string wal_root = wal_template;
+
+  std::array<int, kBrokers> fds{};
+  std::array<int, kBrokers> ports{};
+  for (int b = 0; b < kBrokers; ++b) fds[b] = bind_loopback_listener(&ports[b]);
+
+  const schema s = workload::make_uniform_schema(2, 8);
+  std::array<pid_t, kBrokers> pids{-1, -1, -1};
+  child_reaper reaper{pids};
+  for (int b = 0; b < kBrokers; ++b) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) broker_child(b, s, fds, ports, wal_root);
+    pids[static_cast<std::size_t>(b)] = pid;
+  }
+  std::array<cluster_client, kBrokers> clients;
+  wire_msg probe;
+  probe.type = msg_type::client_dump;
+  for (int b = 0; b < kBrokers; ++b) {
+    auto& c = clients[static_cast<std::size_t>(b)];
+    c.connect("127.0.0.1", ports[static_cast<std::size_t>(b)], kTimeoutMs);
+    (void)c.request(probe, kTimeoutMs);  // identify as a client immediately
+  }
+
+  network_options no;
+  no.use_covering = true;
+  network ref(topology::line(kBrokers), s, no);
+  constexpr int kEnd = kBrokers - 1;
+  const auto subscribe = [&](std::uint64_t lo, std::uint64_t hi) {
+    const subscription sub(s, {{lo, hi}, {lo, hi}});
+    wire_msg m;
+    m.type = msg_type::client_subscribe;
+    m.id = ref.subscribe(kEnd, sub);
+    m.body = sub;
+    return std::pair{m.id, clients[kEnd].request(m, kTimeoutMs)};
+  };
+  const auto [outer, outer_done] = subscribe(10, 200);
+  ASSERT_EQ(outer_done.status, 0);
+  ASSERT_EQ(subscribe(50, 100).second.status, 0);
+
+  ref.unsubscribe(outer);
+  wire_msg m;
+  m.type = msg_type::client_unsubscribe;
+  m.id = outer;
+  const auto done = clients[kEnd].request(m, kTimeoutMs);
+  EXPECT_EQ(done.type, msg_type::client_done);
+  EXPECT_EQ(done.status, 0);
+  // The withdrawal really re-forwarded, and every broker converged.
+  EXPECT_GE(ref.metrics().reforwards, 1u);
+  EXPECT_TRUE(cluster_matches(clients, ref, kTimeoutMs));
+
+  for (auto& c : clients) {
+    wire_msg stop;
+    stop.type = msg_type::client_shutdown;
+    c.send(stop);
   }
   for (int b = 0; b < kBrokers; ++b) {
     int status = 0;
