@@ -1,52 +1,112 @@
 #include "broker/routing_table.h"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "pubsub/matching.h"
+#include <string>
 
 namespace subcover {
 
+namespace {
+
+// Position of `link` in the ascending link directory, or of its insertion
+// point.
+template <class Links>
+auto link_position(Links& links, int link) {
+  return std::lower_bound(links.begin(), links.end(), link,
+                          [](const auto& l, int key) { return l.link < key; });
+}
+
+}  // namespace
+
+subscription routing_table::link_entries::body(std::size_t n) const {
+  const auto w = static_cast<std::size_t>(width);
+  const auto first = ranges.begin() + static_cast<std::ptrdiff_t>(n * w);
+  return subscription::from_raw_ranges({first, first + static_cast<std::ptrdiff_t>(w)});
+}
+
+bool routing_table::link_entries::matches(std::size_t n, const event& e) const {
+  const attr_range* r = ranges.data() + n * static_cast<std::size_t>(width);
+  for (int a = 0; a < width; ++a) {
+    const std::uint64_t v = e.value(a);
+    if (v < r[a].lo || v > r[a].hi) return false;
+  }
+  return true;
+}
+
+void routing_table::link_entries::check_event(const event& e) const {
+  if (e.attribute_count() != width)
+    throw std::invalid_argument("routing_table: event has " +
+                                std::to_string(e.attribute_count()) + " attributes, link " +
+                                std::to_string(link) + " holds subscriptions of " +
+                                std::to_string(width));
+}
+
+const routing_table::link_entries* routing_table::find(int link) const {
+  const auto it = link_position(links_, link);
+  return it != links_.end() && it->link == link ? &*it : nullptr;
+}
+
 void routing_table::add(int link, sub_id id, const subscription& s) {
-  if (!received_[link].emplace(id, s).second)
+  auto it = link_position(links_, link);
+  if (it == links_.end() || it->link != link) {
+    it = links_.insert(it, link_entries{});
+    it->link = link;
+    it->width = s.attribute_count();
+  } else if (s.attribute_count() != it->width) {
+    throw std::invalid_argument("routing_table: subscription " + std::to_string(id) + " has " +
+                                std::to_string(s.attribute_count()) + " attributes, link " +
+                                std::to_string(link) + " holds subscriptions of " +
+                                std::to_string(it->width));
+  }
+  link_entries& l = *it;
+  const auto pos = std::lower_bound(l.ids.begin(), l.ids.end(), id);
+  if (pos != l.ids.end() && *pos == id)
     throw std::invalid_argument("routing_table: subscription " + std::to_string(id) +
                                 " already present on link " + std::to_string(link));
+  const auto first = l.ranges.insert(l.ranges.begin() + (pos - l.ids.begin()) * l.width,
+                                     static_cast<std::size_t>(l.width), attr_range{});
+  for (int a = 0; a < l.width; ++a) first[a] = s.range(a);
+  l.ids.insert(pos, id);
 }
 
 bool routing_table::remove(int link, sub_id id) {
-  const auto it = received_.find(link);
-  if (it == received_.end()) return false;
-  const bool erased = it->second.erase(id) > 0;
-  if (it->second.empty()) received_.erase(it);
-  return erased;
+  const auto it = link_position(links_, link);
+  if (it == links_.end() || it->link != link) return false;
+  link_entries& l = *it;
+  const auto pos = std::lower_bound(l.ids.begin(), l.ids.end(), id);
+  if (pos == l.ids.end() || *pos != id) return false;
+  const auto w = static_cast<std::ptrdiff_t>(l.width);
+  const auto first = l.ranges.begin() + (pos - l.ids.begin()) * w;
+  l.ranges.erase(first, first + w);
+  l.ids.erase(pos);
+  if (l.ids.empty()) links_.erase(it);
+  return true;
 }
 
 bool routing_table::contains(int link, sub_id id) const {
-  const auto it = received_.find(link);
-  return it != received_.end() && it->second.count(id) > 0;
+  const link_entries* l = find(link);
+  return l != nullptr && std::binary_search(l->ids.begin(), l->ids.end(), id);
 }
 
 std::size_t routing_table::total_entries() const {
   std::size_t n = 0;
-  for (const auto& [link, subs] : received_) {
-    (void)link;
-    n += subs.size();
-  }
+  for (const auto& l : links_) n += l.ids.size();
   return n;
 }
 
 std::size_t routing_table::entries_on(int link) const {
-  const auto it = received_.find(link);
-  return it == received_.end() ? 0 : it->second.size();
+  const link_entries* l = find(link);
+  return l == nullptr ? 0 : l->ids.size();
 }
 
 std::vector<int> routing_table::matching_links(const event& e, int exclude_link) const {
   std::vector<int> links;
-  for (const auto& [link, subs] : received_) {
-    if (link == exclude_link) continue;
-    for (const auto& [id, s] : subs) {
-      (void)id;
-      if (matches(s, e)) {
-        links.push_back(link);
+  for (const auto& l : links_) {
+    if (l.link == exclude_link) continue;
+    l.check_event(e);
+    for (std::size_t n = 0; n < l.ids.size(); ++n) {
+      if (l.matches(n, e)) {
+        links.push_back(l.link);
         break;
       }
     }
@@ -56,45 +116,38 @@ std::vector<int> routing_table::matching_links(const event& e, int exclude_link)
 
 std::vector<sub_id> routing_table::matching_subs(int link, const event& e) const {
   std::vector<sub_id> out;
-  const auto it = received_.find(link);
-  if (it == received_.end()) return out;
-  for (const auto& [id, s] : it->second)
-    if (matches(s, e)) out.push_back(id);
+  const link_entries* l = find(link);
+  if (l == nullptr) return out;
+  l->check_event(e);
+  for (std::size_t n = 0; n < l->ids.size(); ++n)
+    if (l->matches(n, e)) out.push_back(l->ids[n]);
   return out;
 }
 
 std::size_t routing_table::memory_footprint() const {
-  // Four pointers-worth of red-black node header per map element, plus the
-  // subscription payload (one attr_range per attribute).
-  constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
-  std::size_t total = sizeof(*this);
-  for (const auto& [link, subs] : received_) {
-    (void)link;
-    total += kNodeOverhead + sizeof(std::pair<const int, std::map<sub_id, subscription>>);
-    for (const auto& [id, s] : subs) {
-      (void)id;
-      total += kNodeOverhead + sizeof(std::pair<const sub_id, subscription>) +
-               static_cast<std::size_t>(s.attribute_count()) * sizeof(attr_range);
-    }
-  }
+  // One directory slot per live link (a handful per broker), then each
+  // link's two columns by capacity.
+  std::size_t total = sizeof(*this) + links_.size() * sizeof(link_entries);
+  for (const auto& l : links_)
+    total += l.ids.capacity() * sizeof(sub_id) + l.ranges.capacity() * sizeof(attr_range);
   return total;
 }
 
 std::vector<std::pair<sub_id, subscription>> routing_table::subs_not_from(int exclude) const {
   std::vector<std::pair<sub_id, subscription>> out;
-  for (const auto& [link, subs] : received_) {
-    if (link == exclude) continue;
-    for (const auto& [id, s] : subs) out.emplace_back(id, s);
+  for (const auto& l : links_) {
+    if (l.link == exclude) continue;
+    for (std::size_t n = 0; n < l.ids.size(); ++n) out.emplace_back(l.ids[n], l.body(n));
   }
   return out;
 }
 
 std::map<int, std::vector<std::pair<sub_id, subscription>>> routing_table::snapshot() const {
   std::map<int, std::vector<std::pair<sub_id, subscription>>> out;
-  for (const auto& [link, subs] : received_) {
-    auto& entries = out[link];
-    entries.reserve(subs.size());
-    for (const auto& [id, s] : subs) entries.emplace_back(id, s);
+  for (const auto& l : links_) {
+    auto& entries = out[l.link];
+    entries.reserve(l.ids.size());
+    for (std::size_t n = 0; n < l.ids.size(); ++n) entries.emplace_back(l.ids[n], l.body(n));
   }
   return out;
 }

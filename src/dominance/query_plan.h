@@ -9,7 +9,10 @@
 // the Equation-1 enumerator (extremal_decomposition.h) — the level
 // enumeration constructs no standard_cube and touches no corner coordinate
 // arrays; the curve's child_rank/descend_state API turns bit-plane toggles
-// into prefix updates directly. The plan then coalesces the cubes into
+// into prefix updates directly, once per Algorithm-2 rectangle on the
+// XOR-linear curves (Z, Gray), whose remaining cube lows then cost one XOR
+// each (rectangle expansion; Hilbert pays the ladder per cube). The plan
+// then coalesces the cubes into
 // runs, orders the runs by volume, and probes them against the SFC array,
 // tracking the searched-volume fraction and the max_cubes budget. The
 // search stops at the first hit, at 1 - epsilon coverage, or when the plan

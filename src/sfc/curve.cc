@@ -47,6 +47,13 @@ void basic_curve<K>::descend_state(const curve_state& parent, std::uint32_t chil
 }
 
 template <class K>
+std::optional<K> basic_curve<K>::unit_cell_key(int dim, int bit) const {
+  (void)dim;
+  (void)bit;
+  return std::nullopt;
+}
+
+template <class K>
 typename basic_curve<K>::range_type basic_curve<K>::cube_range(const standard_cube& c) const {
   const int shift = space().dims() * c.side_bits();
   // shift == kBits only for the whole-universe cube (prefix 0, range all

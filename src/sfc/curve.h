@@ -28,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "geometry/cube.h"
@@ -109,6 +110,16 @@ class basic_curve {
   // parent's state (correct for curves that ignore it).
   virtual void descend_state(const curve_state& parent, std::uint32_t child_mask,
                              curve_state& child) const;
+
+  // XOR-linearity hook (drives the level enumerator's rectangle
+  // expansion, extremal_decomposition.h). A curve whose cell keys are
+  // XOR-linear in the coordinate bits — cell_key(p ^ q) == cell_key(p) ^
+  // cell_key(q) for all cells — returns the key of the cell whose only set
+  // coordinate bit is bit `bit` of dimension `dim`; cube lows are then
+  // linear too, so a free-bit flip moves a cube's low key by one XOR.
+  // Default: std::nullopt ("not linear"), which keeps the per-cube
+  // child_rank ladder. Requires 0 <= dim < d and 0 <= bit < k.
+  [[nodiscard]] virtual std::optional<K> unit_cell_key(int dim, int bit) const;
 
   // Inverse of cell_key. The key must be < 2^(d*k).
   [[nodiscard]] virtual point cell_from_key(const K& key) const = 0;

@@ -12,17 +12,26 @@
 // Corner-free architecture: the enumerator keeps the Equation-1 corner as a
 // set of *bit planes* — one d-bit child-selection mask per tree level — and
 // walks Algorithms 1-3 by toggling individual plane bits (a chosen-bit move
-// or a free-bit flip is one XOR). Two emitters consume the planes:
+// is one XOR per changed plane). Each Algorithm-2 rectangle — the
+// Equation-1 base planes plus its list of free bits — is handed to the
+// emitter whole, together with how many of its cubes to emit. Two emitters
+// consume the rectangles:
 //
 //   * enumerate_level_ranges(curve, r, i, visit) — the query hot path. A
 //     per-level (prefix, curve_state) stack is maintained through the
 //     curve's child_rank/descend_state API, and only the levels below the
-//     highest toggled bit are recomputed between cubes (a dirty watermark),
-//     so successive cubes cost O(d) amortized at the curve's key width.
-//     Each cube is emitted directly as its Fact 2.1 key interval
-//     basic_key_range<K>: no standard_cube, no corner coordinate arrays, no
-//     wide-integer cube_prefix recomputation. This is what keeps
-//     query_plan's per-query instruction count proportional to runs probed.
+//     highest toggled bit are recomputed (a dirty watermark). Rectangle
+//     expansion contract: on a curve that reports XOR-linear keys
+//     (basic_curve::unit_cell_key — Z and Gray), that ladder runs once per
+//     rectangle, for the base low; free bit (x, y) then moves the low by
+//     the constant delta unit_cell_key(x, y) & ~level_mask, so the
+//     rectangle's cubes follow in counting order at one XOR each
+//     (lo ^= prefix_xor[ctz(mask) + 1]), stopping mid-rectangle when the
+//     visitor or the budget says so. Any other curve (Hilbert) toggles the
+//     free-bit planes and reruns the ladder per cube, O(d) amortized. Both
+//     forms work at every key width. Each cube is emitted directly as its
+//     Fact 2.1 key interval basic_key_range<K>: no standard_cube, no corner
+//     coordinate arrays, no wide-integer cube_prefix recomputation.
 //
 //   * enumerate_level_cubes(u, r, i, visit) — the curve-independent
 //     standard_cube view over the same walk (tests, benches, closed-form
@@ -78,11 +87,17 @@ u512 extremal_cube_count(const universe& u, const extremal_rect& r);
 namespace detail {
 
 // Implements Algorithms 1-3 (Appendix A) for one level i over the bit-plane
-// representation of Equation 1. The Emitter is any callable taking a
-// `const level_walk&` and returning bool ("continue?"); it reads the walk's
-// planes (child masks per tree level), per-dimension corner bits, and the
-// dirty watermark — the highest tree level whose plane changed since the
-// previous emission.
+// representation of Equation 1. The Emitter is any callable taking
+// `(level_walk&, std::uint64_t count)` and returning bool ("continue?"): it
+// is called once per Algorithm-2 rectangle, with the planes at the
+// rectangle's Equation-1 base (every free bit zero), and must emit the
+// rectangle's first `count` cubes in counting order — either by deriving
+// them from the free-bit list (free_bit) or through for_each_cube, which
+// toggles the free-bit planes cube by cube. It reads the walk's planes
+// (child masks per tree level), per-dimension corner bits, and the dirty
+// watermark — the highest tree level whose plane changed since the
+// previous emission. The walk charges `count` against the cube budget and
+// throws once a rectangle would exceed it.
 template <class Emitter>
 class level_walk {
  public:
@@ -120,6 +135,29 @@ class level_walk {
   // the first emission: everything must be computed).
   [[nodiscard]] int dirty() const { return dirty_; }
   [[nodiscard]] int level() const { return i_; }
+  // Free bit b of the current rectangle as a (dimension, coordinate bit)
+  // pair — dimension-major, positions ascending, so free bit b is bit b of
+  // the counting-order mask. Valid for b < log2 of the rectangle's size.
+  [[nodiscard]] std::pair<int, int> free_bit(std::size_t b) const { return free_bits_[b]; }
+
+  // Per-cube form of an emission: calls `f()` (returning bool, "continue?")
+  // at each of the current rectangle's first `count` cubes, toggling only
+  // the planes of the free bits that change between consecutive masks. The
+  // walk clears the toggled bits once the emission returns.
+  template <class F>
+  bool for_each_cube(std::uint64_t count, F&& f) {
+    for (std::uint64_t mask = 0;;) {
+      const bool go = f();
+      dirty_ = i_ - 1;  // nothing changed since this emission (yet)
+      if (!go) return false;
+      if (++mask == count) {
+        toggled_ = count - 1;  // the last mask's set bits are the toggled ones
+        return true;
+      }
+      // Counting step mask-1 -> mask flips a trailing block of free bits.
+      flip_free(mask ^ (mask - 1));
+    }
+  }
 
  private:
   // Upper bound on free bit positions across all dimensions: at most k + 1
@@ -185,9 +223,17 @@ class level_walk {
     }
   }
 
-  // Algorithm 2 (CompKeys) via Equation 1: enumerate the free-bit
-  // combinations of the rectangle indexed by P in counting order, toggling
-  // only the planes of the bits that changed between consecutive masks.
+  // Toggles the free bits selected by `bits` (bit b = free bit b).
+  void flip_free(std::uint64_t bits) {
+    for (; bits != 0; bits &= bits - 1) {
+      const auto [x, y] = free_bits_[static_cast<std::size_t>(trailing_zeros(bits))];
+      toggle(x, y);
+    }
+  }
+
+  // Algorithm 2 (CompKeys) via Equation 1: hand the rectangle indexed by P
+  // — base planes plus free-bit list — to the emitter, which enumerates its
+  // free-bit combinations in counting order.
   void comp_keys() {
     std::size_t nfree = 0;
     for (int x = 0; x < u_.dims(); ++x) {
@@ -198,27 +244,22 @@ class level_walk {
     // the per-call cube budget stops enumeration long before overflow.
     const std::uint64_t combos =
         nfree >= 64 ? ~std::uint64_t{0} : std::uint64_t{1} << nfree;
-    for (std::uint64_t mask = 0;;) {
-      if (++emitted_ > max_cubes_)
-        throw std::length_error("enumerate_level_cubes: cube budget exceeded");
-      const bool go = emit_(*this);
+    // emitted_ <= max_cubes_ always holds here: a rectangle that would
+    // overrun the budget throws below instead of being counted.
+    const std::uint64_t count = std::min(combos, max_cubes_ - emitted_);
+    if (count > 0) {
+      const bool go = emit_(*this, count);
       dirty_ = i_ - 1;  // nothing changed since this emission (yet)
       if (!go) {
         stopped_ = true;
         return;
       }
-      if (++mask == combos) break;
-      // Counting step mask-1 -> mask flips a trailing block of free bits.
-      std::uint64_t changed = mask ^ (mask - 1);
-      do {
-        const auto [x, y] = free_bits_[static_cast<std::size_t>(trailing_zeros(changed))];
-        toggle(x, y);
-        changed &= changed - 1;
-      } while (changed != 0);
+      emitted_ += count;
+      // Back to the Equation-1 base, so the next rectangle's chosen-bit
+      // moves diff against it; the toggles raise the watermark they dirty.
+      flip_free(std::exchange(toggled_, 0));
     }
-    // The loop ends with every free bit set; clear them so the next
-    // rectangle's chosen-bit moves diff against the Equation-1 base.
-    for (std::size_t b = 0; b < nfree; ++b) toggle(free_bits_[b].first, free_bits_[b].second);
+    if (count < combos) throw std::length_error("enumerate_level_cubes: cube budget exceeded");
   }
 
   const universe& u_;
@@ -239,6 +280,7 @@ class level_walk {
   // slots of a comp_keys pass are ever read, and zeroing ~8 KiB per level
   // would dominate small levels.
   std::array<std::pair<int, int>, kMaxFreeBits> free_bits_;
+  std::uint64_t toggled_ = 0;  // free bits for_each_cube left set
 };
 
 // Turns the bit planes into Equation-1 cube keys at the curve's width.
@@ -257,7 +299,8 @@ class level_walk {
 // the cube's low key. At a fixed level every cube's extent is the constant
 // level_mask(), so a consumer that keeps column scratch (query_plan's
 // struct-of-arrays frontier) needs only the lows — the his are lo | mask,
-// derived in bulk after enumeration.
+// derived in bulk after enumeration. expand() is the one rectangle
+// expansion both emitters share.
 template <class K>
 class prefix_tracker {
  public:
@@ -266,6 +309,7 @@ class prefix_tracker {
         i_(i),
         k_(c.space().bits()),
         d_(c.space().dims()),
+        linear_(k_ > 0 && c.unit_cell_key(0, 0).has_value()),
         // Z derives child ranks from the selection mask alone and Gray from
         // the parent prefix's parity, so only those two skip the per-level
         // state stack. curve_kind is a closed enum every basic_curve must
@@ -298,17 +342,45 @@ class prefix_tracker {
     return prefix_[static_cast<std::size_t>(i_)] << (d_ * i_);
   }
 
+  // Emits the lows of the walk's current rectangle's first `count` cubes,
+  // in counting order, to `sink` (K -> bool, "continue?"). On an XOR-linear
+  // curve the ladder runs once, for the base low, and each further cube is
+  // one XOR: the counting step to `mask` flips free bits 0..ctz(mask), whose
+  // combined delta is prefix_xor_[ctz(mask) + 1]. Only the free bits below
+  // bit_width(count - 1) ever flip — at most 64 — so that many deltas are
+  // built. Any other curve reruns the ladder per cube.
+  template <class Walk, class Sink>
+  bool expand(Walk& w, std::uint64_t count, Sink& sink) {
+    if (!linear_) return w.for_each_cube(count, [&] { return sink(lo(w)); });
+    K cube = lo(w);
+    const auto flips = static_cast<std::size_t>(bit_length(count - 1));
+    const K keep = ~level_mask();
+    for (std::size_t b = 0; b < flips; ++b) {
+      const auto [x, y] = w.free_bit(b);
+      prefix_xor_[b + 1] = prefix_xor_[b] ^ (*curve_->unit_cell_key(x, y) & keep);
+    }
+    for (std::uint64_t mask = 0;;) {
+      if (!sink(cube)) return false;
+      if (++mask == count) return true;
+      cube ^= prefix_xor_[static_cast<std::size_t>(trailing_zeros(mask)) + 1];
+    }
+  }
+
  private:
   const basic_curve<K>* curve_;
   int i_;
   const int k_;
   const int d_;
+  const bool linear_;  // the curve reports unit_cell_key: cube lows are XOR-linear
   const bool track_state_;
   curve_state root_state_;
   // state_[y]: descent state entering tree level y (valid above the dirty
   // watermark); prefix_[y]: cube prefix including level y's digits.
   std::array<curve_state, kMaxBitsPerDim> state_;
   std::array<K, kMaxBitsPerDim> prefix_;
+  // prefix_xor_[b]: XOR of the low-key deltas of free bits 0..b-1 of the
+  // current rectangle (entry 0 is the empty XOR).
+  std::array<K, 65> prefix_xor_{};
 };
 
 // Interval view: the visitor receives each cube as its full Equation-1 key
@@ -321,16 +393,20 @@ class range_emitter {
   void set_level(int i) { tracker_.set_level(i); }
 
   template <class Walk>
-  bool operator()(const Walk& w) {
-    basic_key_range<K> out;
-    out.lo = tracker_.lo(w);
-    out.hi = out.lo | tracker_.level_mask();
-    if constexpr (std::is_convertible_v<decltype(visit_(out)), bool>) {
-      return static_cast<bool>(visit_(out));
-    } else {
-      visit_(out);
-      return true;
-    }
+  bool operator()(Walk& w, std::uint64_t count) {
+    const K mask = tracker_.level_mask();
+    auto sink = [&](const K& lo) {
+      basic_key_range<K> out;  // not the checking constructor: lo <= hi by construction
+      out.lo = lo;
+      out.hi = lo | mask;
+      if constexpr (std::is_convertible_v<decltype(visit_(out)), bool>) {
+        return static_cast<bool>(visit_(out));
+      } else {
+        visit_(out);
+        return true;
+      }
+    };
+    return tracker_.expand(w, count, sink);
   }
 
  private:
@@ -351,14 +427,16 @@ class lo_emitter {
   [[nodiscard]] K level_mask() const { return tracker_.level_mask(); }
 
   template <class Walk>
-  bool operator()(const Walk& w) {
-    const K lo = tracker_.lo(w);
-    if constexpr (std::is_convertible_v<decltype(visit_(lo)), bool>) {
-      return static_cast<bool>(visit_(lo));
-    } else {
-      visit_(lo);
-      return true;
-    }
+  bool operator()(Walk& w, std::uint64_t count) {
+    auto sink = [&](const K& lo) {
+      if constexpr (std::is_convertible_v<decltype(visit_(lo)), bool>) {
+        return static_cast<bool>(visit_(lo));
+      } else {
+        visit_(lo);
+        return true;
+      }
+    };
+    return tracker_.expand(w, count, sink);
   }
 
  private:
@@ -374,10 +452,12 @@ class cube_emitter {
   cube_emitter(int dims, int i, Visitor& visit) : d_(dims), i_(i), visit_(visit) {}
 
   template <class Walk>
-  bool operator()(const Walk& w) {
-    point corner(d_);
-    for (int x = 0; x < d_; ++x) corner[x] = static_cast<std::uint32_t>(w.corner_bits(x));
-    return visit_cube(visit_, standard_cube(corner, i_));
+  bool operator()(Walk& w, std::uint64_t count) {
+    return w.for_each_cube(count, [&] {
+      point corner(d_);
+      for (int x = 0; x < d_; ++x) corner[x] = static_cast<std::uint32_t>(w.corner_bits(x));
+      return visit_cube(visit_, standard_cube(corner, i_));
+    });
   }
 
  private:

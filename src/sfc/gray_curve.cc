@@ -34,6 +34,12 @@ std::uint64_t basic_gray_curve<K>::child_rank(const K& parent_prefix, const curv
 }
 
 template <class K>
+std::optional<K> basic_gray_curve<K>::unit_cell_key(int dim, int bit) const {
+  const int d = this->space().dims();
+  return key_traits<K>::mask(d * bit + d - dim);
+}
+
+template <class K>
 point basic_gray_curve<K>::cell_from_key(const K& key) const {
   this->check_key(key);
   const int d = this->space().dims();

@@ -40,6 +40,9 @@ class basic_gray_curve final : public basic_curve<K> {
   // of the parent's (decoded) prefix.
   [[nodiscard]] std::uint64_t child_rank(const K& parent_prefix, const curve_state& state,
                                          std::uint32_t child_mask) const override;
+  // gray_decode is an XOR prefix scan, hence linear: the single-bit
+  // corner at interleaved position p decodes to the key bits [0, p].
+  [[nodiscard]] std::optional<K> unit_cell_key(int dim, int bit) const override;
 };
 
 using gray_curve = basic_gray_curve<u512>;

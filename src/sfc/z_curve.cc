@@ -30,6 +30,12 @@ std::uint64_t basic_z_curve<K>::child_rank(const K& parent_prefix, const curve_s
 }
 
 template <class K>
+std::optional<K> basic_z_curve<K>::unit_cell_key(int dim, int bit) const {
+  const int d = this->space().dims();
+  return key_traits<K>::pow2(d * bit + d - 1 - dim);
+}
+
+template <class K>
 point basic_z_curve<K>::cell_from_key(const K& key) const {
   this->check_key(key);
   const int d = this->space().dims();

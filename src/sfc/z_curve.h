@@ -22,6 +22,9 @@ class basic_z_curve final : public basic_curve<K> {
   // moved to the most significant bit (the interleaving convention above).
   [[nodiscard]] std::uint64_t child_rank(const K& parent_prefix, const curve_state& state,
                                          std::uint32_t child_mask) const override;
+  // Interleaving is the identity on bits: the single-bit corner's key is
+  // the one key bit that coordinate bit lands on.
+  [[nodiscard]] std::optional<K> unit_cell_key(int dim, int bit) const override;
 };
 
 using z_curve = basic_z_curve<u512>;

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "pubsub/matching.h"
 #include "pubsub/parser.h"
+#include "util/random.h"
+#include "workload/event_gen.h"
 #include "workload/subscription_gen.h"
 
 namespace subcover {
@@ -79,6 +86,176 @@ TEST_F(RoutingTableTest, RemoveCleansEmptyLink) {
   EXPECT_TRUE(t_.remove(1, 10));
   EXPECT_EQ(t_.total_entries(), 0U);
   EXPECT_TRUE(t_.matching_links(event(s_, {5}), -99).empty());
+}
+
+// Reference model: the node-based map of maps, scanned with matches().
+class reference_table {
+ public:
+  bool add(int link, sub_id id, const subscription& s) {
+    return received_[link].emplace(id, s).second;
+  }
+  bool remove(int link, sub_id id) {
+    const auto it = received_.find(link);
+    if (it == received_.end()) return false;
+    const bool erased = it->second.erase(id) > 0;
+    if (it->second.empty()) received_.erase(it);
+    return erased;
+  }
+  [[nodiscard]] bool contains(int link, sub_id id) const {
+    const auto it = received_.find(link);
+    return it != received_.end() && it->second.count(id) > 0;
+  }
+  [[nodiscard]] std::size_t total_entries() const {
+    std::size_t n = 0;
+    for (const auto& entry : received_) n += entry.second.size();
+    return n;
+  }
+  [[nodiscard]] std::size_t entries_on(int link) const {
+    const auto it = received_.find(link);
+    return it == received_.end() ? 0 : it->second.size();
+  }
+  [[nodiscard]] std::vector<int> matching_links(const event& e, int exclude) const {
+    std::vector<int> out;
+    for (const auto& [link, subs] : received_) {
+      if (link == exclude) continue;
+      for (const auto& entry : subs) {
+        if (matches(entry.second, e)) {
+          out.push_back(link);
+          break;
+        }
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] std::vector<sub_id> matching_subs(int link, const event& e) const {
+    std::vector<sub_id> out;
+    const auto it = received_.find(link);
+    if (it == received_.end()) return out;
+    for (const auto& [id, s] : it->second)
+      if (matches(s, e)) out.push_back(id);
+    return out;
+  }
+  [[nodiscard]] std::vector<std::pair<sub_id, subscription>> subs_not_from(int exclude) const {
+    std::vector<std::pair<sub_id, subscription>> out;
+    for (const auto& [link, subs] : received_)
+      if (link != exclude) out.insert(out.end(), subs.begin(), subs.end());
+    return out;
+  }
+  [[nodiscard]] std::map<int, std::vector<std::pair<sub_id, subscription>>> snapshot() const {
+    std::map<int, std::vector<std::pair<sub_id, subscription>>> out;
+    for (const auto& [link, subs] : received_) out[link].assign(subs.begin(), subs.end());
+    return out;
+  }
+
+ private:
+  std::map<int, std::map<sub_id, subscription>> received_;
+};
+
+// Seeded random add/remove/query sequence over a few links and a small id
+// space (so duplicates, misses and links that empty and refill all occur),
+// every ordered output compared exactly against the reference model.
+TEST(RoutingTableDifferential, MatchesMapReferenceModel) {
+  const schema s = workload::make_uniform_schema(3, 6);
+  workload::subscription_gen_options so;
+  so.mean_width = 0.5;
+  so.wildcard_prob = 0.1;
+  workload::subscription_gen subs(s, so, 31);
+  workload::event_gen events(s, 37);
+  rng gen(41);
+  routing_table t;
+  reference_table ref;
+  const std::size_t empty_bytes = t.memory_footprint();
+  const int links[] = {kLocalLink, 0, 1, 2, 5};
+  const auto pick_link = [&] { return links[gen.index(std::size(links))]; };
+  for (int step = 0; step < 6000; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const int link = pick_link();
+    const auto id = static_cast<sub_id>(gen.uniform(0, 40));
+    switch (gen.index(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        const subscription body = subs.next();
+        if (ref.add(link, id, body)) {
+          t.add(link, id, body);
+        } else {
+          EXPECT_THROW(t.add(link, id, body), std::invalid_argument);
+        }
+        break;
+      }
+      case 3:
+      case 4:
+        ASSERT_EQ(t.remove(link, id), ref.remove(link, id));
+        break;
+      case 5: {
+        const event e = events.next();
+        const int exclude = gen.bernoulli(0.5) ? pick_link() : -99;
+        ASSERT_EQ(t.matching_links(e, exclude), ref.matching_links(e, exclude));
+        ASSERT_EQ(t.matching_subs(link, e), ref.matching_subs(link, e));
+        break;
+      }
+      case 6:
+        ASSERT_EQ(t.subs_not_from(link), ref.subs_not_from(link));
+        break;
+      default:
+        ASSERT_EQ(t.snapshot(), ref.snapshot());
+        break;
+    }
+    ASSERT_EQ(t.contains(link, id), ref.contains(link, id));
+    ASSERT_EQ(t.entries_on(link), ref.entries_on(link));
+    ASSERT_EQ(t.total_entries(), ref.total_entries());
+    // The columns hold at least one id and one range per attribute for
+    // every entry, and nothing once the table is empty.
+    const std::size_t bytes = t.memory_footprint();
+    ASSERT_GE(bytes, empty_bytes + ref.total_entries() *
+                                       (sizeof(sub_id) + s.attribute_count() * sizeof(attr_range)));
+    if (ref.total_entries() == 0) {
+      ASSERT_EQ(bytes, empty_bytes);
+    }
+  }
+  // Drain every link: the table is empty again, then a drained link
+  // reappears.
+  for (const auto& [link, entries] : ref.snapshot())
+    for (const auto& entry : entries) ASSERT_TRUE(t.remove(link, entry.first));
+  EXPECT_EQ(t.total_entries(), 0U);
+  EXPECT_EQ(t.memory_footprint(), empty_bytes);
+  EXPECT_EQ(t, routing_table{});
+  t.add(1, 7, subs.next());
+  EXPECT_EQ(t.entries_on(1), 1U);
+  EXPECT_EQ(t.snapshot().size(), 1U);
+}
+
+TEST(RoutingTableDifferential, LinkThatEmptiesReappearsWithItsOwnSchema) {
+  const schema two = workload::make_uniform_schema(2, 8);
+  const schema three = workload::make_uniform_schema(3, 8);
+  routing_table t;
+  t.add(1, 10, subscription::match_all(two));
+  EXPECT_TRUE(t.remove(1, 10));
+  EXPECT_EQ(t.entries_on(1), 0U);
+  // An emptied link keeps no schema: it comes back with whatever it holds.
+  t.add(1, 10, subscription::match_all(three));
+  EXPECT_EQ(t.matching_subs(1, event(three, {1, 2, 3})), (std::vector<sub_id>{10}));
+  EXPECT_EQ(t.snapshot().at(1).front().second, subscription::match_all(three));
+}
+
+TEST(RoutingTableDifferential, SchemaMismatchThrows) {
+  const schema two = workload::make_uniform_schema(2, 8);
+  const schema one = workload::make_uniform_schema(1, 8);
+  routing_table t;
+  t.add(1, 10, subscription::match_all(two));
+  // A subscription of another schema cannot join the link's columns...
+  EXPECT_THROW(t.add(1, 11, subscription::match_all(one)), std::invalid_argument);
+  EXPECT_FALSE(t.contains(1, 11));
+  EXPECT_EQ(t.entries_on(1), 1U);
+  // ...but may sit on a different link.
+  t.add(2, 11, subscription::match_all(one));
+  // An event of the wrong schema throws on every scanned link, as matches()
+  // does; an excluded link is never scanned.
+  const event e1(one, {3});
+  EXPECT_THROW((void)t.matching_subs(1, e1), std::invalid_argument);
+  EXPECT_THROW((void)t.matching_links(e1, /*exclude_link=*/2), std::invalid_argument);
+  EXPECT_EQ(t.matching_links(e1, /*exclude_link=*/1), (std::vector<int>{2}));
+  EXPECT_EQ(t.matching_subs(2, e1), (std::vector<sub_id>{11}));
 }
 
 }  // namespace

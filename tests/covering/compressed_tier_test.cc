@@ -79,7 +79,9 @@ void run_equivalence(const schema& s, int n_subs, int n_queries,
       const std::optional<sub_id> th = tiered.find_covering(probe, eps, &ts);
       const std::optional<sub_id> rh = resident.find_covering(probe, eps, &rs);
       ASSERT_EQ(th.has_value(), rh.has_value()) << "query " << q << " eps " << eps;
-      if (th.has_value()) EXPECT_EQ(*th, *rh);
+      if (th.has_value()) {
+        EXPECT_EQ(*th, *rh);
+      }
       expect_logical_stats_equal(ts, rs);
       EXPECT_EQ(rs.dominance.tier_cold_probes, 0U);  // resident side never tiers
       totals.add(ts.dominance);

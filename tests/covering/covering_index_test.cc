@@ -119,7 +119,9 @@ TEST_P(CoveringCrossValidation, SfcExhaustiveAgreesWithLinearScan) {
   }
   // Clustered/zipf workloads must produce actual covering hits for the test
   // to be meaningful; uniform may produce few.
-  if (kind != workload::workload_kind::uniform) EXPECT_GT(found, 0);
+  if (kind != workload::workload_kind::uniform) {
+    EXPECT_GT(found, 0);
+  }
 }
 
 TEST_P(CoveringCrossValidation, ApproximateIsSoundAndMostlyComplete) {
@@ -143,7 +145,9 @@ TEST_P(CoveringCrossValidation, ApproximateIsSoundAndMostlyComplete) {
     const bool expected = oracle.find_covering(query, 0.0).has_value();
     const auto hit = sfc.find_covering(query, 0.05);
     // One-sided error: a hit implies true covering.
-    if (hit.has_value()) EXPECT_TRUE(expected);
+    if (hit.has_value()) {
+      EXPECT_TRUE(expected);
+    }
     true_covered += expected ? 1 : 0;
     detected += hit.has_value() ? 1 : 0;
   }

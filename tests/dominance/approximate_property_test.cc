@@ -142,7 +142,9 @@ TEST_P(ApproximateProperty, MissImpliesUnsearchedSliver) {
     }
   }
   // Misses are permitted but should be the exception for small epsilon.
-  if (eps() <= 0.05) EXPECT_LT(misses, 20);
+  if (eps() <= 0.05) {
+    EXPECT_LT(misses, 20);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

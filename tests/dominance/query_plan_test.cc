@@ -23,6 +23,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+// Every replaced operator delete releases through this one out-of-line
+// function, so an inlined delete never shows GCC a free() of a pointer that
+// came from operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -37,12 +42,12 @@ void* operator new[](std::size_t n) {
 }
 void* operator new(std::size_t n, std::align_val_t) { return ::operator new(n); }
 void* operator new[](std::size_t n, std::align_val_t) { return ::operator new[](n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 
 namespace subcover {
 namespace {

@@ -34,8 +34,8 @@ TEST(Schema, LabelValues) {
   const schema s = stockish();
   EXPECT_EQ(s.label_value(0, "IBM"), 0U);
   EXPECT_EQ(s.label_value(0, "AAPL"), 1U);
-  EXPECT_THROW(s.label_value(0, "MSFT"), std::invalid_argument);
-  EXPECT_THROW(s.label_value(1, "IBM"), std::invalid_argument);
+  EXPECT_THROW((void)s.label_value(0, "MSFT"), std::invalid_argument);
+  EXPECT_THROW((void)s.label_value(1, "IBM"), std::invalid_argument);
 }
 
 TEST(Schema, FormatValue) {

@@ -134,6 +134,34 @@ TEST_P(CurveProperty, NestedCubesHaveNestedRanges) {
   }
 }
 
+// The XOR-linearity hook: a curve that reports unit_cell_key returns the
+// key of each single-bit corner, and its keys really are XOR-linear — the
+// key of any cell is the XOR of its set bits' unit keys. Z and Gray report
+// it; Hilbert does not.
+TEST_P(CurveProperty, UnitCellKeysSpanTheCurve) {
+  const universe u = space();
+  const auto c = make();
+  const curve_kind kind = std::get<0>(GetParam());
+  const bool linear = c->unit_cell_key(0, 0).has_value();
+  ASSERT_EQ(linear, kind != curve_kind::hilbert);
+  if (!linear) return;
+  for_each_cell(u, [&](const point& p) {
+    u512 expected;
+    for (int x = 0; x < u.dims(); ++x) {
+      for (int y = 0; y < u.bits(); ++y) {
+        if (((p[x] >> y) & 1U) == 0) continue;
+        const auto unit = c->unit_cell_key(x, y);
+        ASSERT_TRUE(unit.has_value());
+        point single(u.dims());
+        single[x] = std::uint32_t{1} << y;
+        ASSERT_EQ(*unit, c->cell_key(single)) << "dim " << x << " bit " << y;
+        expected ^= *unit;
+      }
+    }
+    ASSERT_EQ(c->cell_key(p), expected) << p.to_string();
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCurves, CurveProperty,
     ::testing::Values(curve_case{curve_kind::z_order, 1, 4}, curve_case{curve_kind::z_order, 2, 3},

@@ -45,8 +45,9 @@ extremal_rect random_extremal(rng& gen, const universe& u) {
 class reference_enumerator {
  public:
   reference_enumerator(const universe& u, const extremal_rect& r, int i,
-                       std::vector<standard_cube>& out)
-      : u_(u), r_(r), i_(i), out_(out) {}
+                       std::vector<standard_cube>& out,
+                       std::vector<std::size_t>* rect_starts = nullptr)
+      : u_(u), r_(r), i_(i), out_(out), rect_starts_(rect_starts) {}
 
   void run() {
     if (!level_occupied(r_, i_)) return;
@@ -92,6 +93,7 @@ class reference_enumerator {
       base[static_cast<std::size_t>(x)] = c & coord_mask;
       for (int y = i_; y < px; ++y) free_bits.emplace_back(x, y);
     }
+    if (rect_starts_ != nullptr) rect_starts_->push_back(out_.size());
     const std::uint64_t combos = std::uint64_t{1} << free_bits.size();
     for (std::uint64_t mask = 0; mask < combos; ++mask) {
       std::array<std::uint64_t, kMaxDims> c = base;
@@ -112,6 +114,7 @@ class reference_enumerator {
   const extremal_rect& r_;
   const int i_;
   std::vector<standard_cube>& out_;
+  std::vector<std::size_t>* rect_starts_;  // index of each rectangle's first cube
   int pin_ = 0;
   std::array<int, kMaxDims> p_{};
 };
@@ -220,20 +223,45 @@ TEST(LevelRangeEnumerator, RangesMatchCubePathWideUniverse) {
   }
 }
 
+// Stop points that land on rectangle boundaries of level 0 of R(257, 300)
+// on a 2-d, 9-bit universe: for every rectangle of at least three cubes, a
+// prefix ending at its first cube, one ending inside it, and one ending at
+// its last cube — plus the first cube overall and all-but-the-last.
+std::vector<std::size_t> boundary_stop_points(const universe& u, const extremal_rect& r) {
+  std::vector<standard_cube> cubes;
+  std::vector<std::size_t> starts;
+  reference_enumerator(u, r, 0, cubes, &starts).run();
+  starts.push_back(cubes.size());
+  std::vector<std::size_t> stops{1, cubes.size() - 1};
+  for (std::size_t n = 0; n + 1 < starts.size(); ++n) {
+    const std::size_t first = starts[n];
+    const std::size_t size = starts[n + 1] - first;
+    if (size < 3) continue;
+    stops.insert(stops.end(), {first + 1, first + 2, first + size});
+  }
+  return stops;
+}
+
 // Early stop (the query planner's "take exactly `needed`" contract): a
 // bool visitor stopping after n cubes sees exactly the first n of the full
-// enumeration.
-TEST(LevelRangeEnumerator, EarlyStopYieldsPrefix) {
+// enumeration, whether n ends at a rectangle's first cube, inside it, or at
+// its last cube.
+template <class K>
+void expect_early_stop_prefix(curve_kind kind) {
+  SCOPED_TRACE(testing::Message() << curve_kind_name(kind) << " bits=" << key_traits<K>::kBits);
   const universe u(2, 9);
   const extremal_rect r(u, lengths({257, 300}));
-  const auto curve = make_basic_curve<std::uint64_t>(curve_kind::hilbert, u);
-  std::vector<basic_key_range<std::uint64_t>> all;
-  enumerate_level_ranges(*curve, r, 0,
-                         [&](const basic_key_range<std::uint64_t>& kr) { all.push_back(kr); });
+  const auto curve = make_basic_curve<K>(kind, u);
+  std::vector<basic_key_range<K>> all;
+  enumerate_level_ranges(*curve, r, 0, [&](const basic_key_range<K>& kr) { all.push_back(kr); });
   ASSERT_GT(all.size(), 10U);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, all.size() - 1}) {
-    std::vector<basic_key_range<std::uint64_t>> prefix;
-    enumerate_level_ranges(*curve, r, 0, [&](const basic_key_range<std::uint64_t>& kr) {
+  std::vector<basic_key_range<K>> via_cubes;
+  enumerate_level_cubes(u, r, 0,
+                        [&](const standard_cube& c) { via_cubes.push_back(curve->cube_range(c)); });
+  ASSERT_EQ(all, via_cubes);
+  for (const std::size_t n : boundary_stop_points(u, r)) {
+    std::vector<basic_key_range<K>> prefix;
+    enumerate_level_ranges(*curve, r, 0, [&](const basic_key_range<K>& kr) {
       prefix.push_back(kr);
       return prefix.size() < n;
     });
@@ -242,14 +270,104 @@ TEST(LevelRangeEnumerator, EarlyStopYieldsPrefix) {
   }
 }
 
+TEST(LevelRangeEnumerator, EarlyStopYieldsPrefix) {
+  for (const curve_kind kind : {curve_kind::z_order, curve_kind::hilbert, curve_kind::gray_code}) {
+    expect_early_stop_prefix<std::uint64_t>(kind);
+    expect_early_stop_prefix<u128>(kind);
+    expect_early_stop_prefix<u512>(kind);
+  }
+}
+
+// The cube budget: a level of more than `max_cubes` cubes throws after the
+// visitor has seen exactly the first `max_cubes` of them, wherever the
+// budget falls within a rectangle; a visitor that stops at the budget, or a
+// budget that fits the level, never throws.
+template <class K>
+void expect_budget_throws(curve_kind kind) {
+  SCOPED_TRACE(testing::Message() << curve_kind_name(kind) << " bits=" << key_traits<K>::kBits);
+  const universe u(2, 9);
+  const extremal_rect r(u, lengths({257, 300}));
+  const auto curve = make_basic_curve<K>(kind, u);
+  std::vector<basic_key_range<K>> all;
+  enumerate_level_ranges(*curve, r, 0, [&](const basic_key_range<K>& kr) { all.push_back(kr); });
+  for (const std::size_t budget : boundary_stop_points(u, r)) {
+    if (budget == all.size()) continue;  // the whole level fits: checked below
+    std::vector<basic_key_range<K>> seen;
+    EXPECT_THROW(enumerate_level_ranges(
+                     *curve, r, 0, [&](const basic_key_range<K>& kr) { seen.push_back(kr); },
+                     budget),
+                 std::length_error)
+        << "budget " << budget;
+    ASSERT_EQ(seen.size(), budget);
+    for (std::size_t m = 0; m < budget; ++m) ASSERT_EQ(seen[m], all[m]) << "budget " << budget;
+    // Stopping exactly at the budget is a clean stop.
+    std::size_t taken = 0;
+    EXPECT_NO_THROW(enumerate_level_ranges(
+        *curve, r, 0, [&](const basic_key_range<K>&) { return ++taken < budget; }, budget));
+    EXPECT_EQ(taken, budget);
+  }
+  EXPECT_NO_THROW(enumerate_level_ranges(
+      *curve, r, 0, [](const basic_key_range<K>&) {}, all.size()));
+}
+
 TEST(LevelRangeEnumerator, BudgetExceededThrows) {
+  for (const curve_kind kind : {curve_kind::z_order, curve_kind::hilbert, curve_kind::gray_code}) {
+    expect_budget_throws<std::uint64_t>(kind);
+    expect_budget_throws<u128>(kind);
+    expect_budget_throws<u512>(kind);
+  }
+  // The cube view charges the same budget.
   const universe u(2, 9);
   const extremal_rect r(u, lengths({257, 257}));  // 513 unit cells at level 0
-  const auto curve = make_basic_curve<std::uint64_t>(curve_kind::z_order, u);
-  EXPECT_THROW(enumerate_level_ranges(
-                   *curve, r, 0, [](const basic_key_range<std::uint64_t>&) {},
-                   /*max_cubes=*/100),
+  EXPECT_THROW(enumerate_level_cubes(
+                   u, r, 0, [](const standard_cube&) {}, /*max_cubes=*/100),
                std::length_error);
+}
+
+// A rectangle with more than 64 free bits: on a 4-d, 30-bit universe,
+// R(2^29 + 1, ...) at level 0 opens with P = (0, 29, 29, 29) — 87 free
+// bits, 2^87 cubes. Only the low free bits can flip before the budget or
+// the visitor stops the walk; both cuts must agree with the cube path.
+template <class K>
+void expect_wide_rectangle_cut(curve_kind kind) {
+  SCOPED_TRACE(testing::Message() << curve_kind_name(kind) << " bits=" << key_traits<K>::kBits);
+  const universe u(4, 30);
+  const std::uint64_t l = (std::uint64_t{1} << 29) + 1;
+  const extremal_rect r(u, lengths({l, l, l, l}));
+  const auto curve = make_basic_curve<K>(kind, u);
+  constexpr std::size_t kBudget = 5000;
+  std::vector<basic_key_range<K>> via_cubes;
+  EXPECT_THROW(enumerate_level_cubes(
+                   u, r, 0,
+                   [&](const standard_cube& c) { via_cubes.push_back(curve->cube_range(c)); },
+                   kBudget),
+               std::length_error);
+  std::vector<basic_key_range<K>> via_ranges;
+  EXPECT_THROW(enumerate_level_ranges(
+                   *curve, r, 0,
+                   [&](const basic_key_range<K>& kr) { via_ranges.push_back(kr); }, kBudget),
+               std::length_error);
+  ASSERT_EQ(via_cubes.size(), kBudget);
+  ASSERT_EQ(via_ranges, via_cubes);
+  // A visitor stop inside the rectangle, under a budget that would admit
+  // the whole level's first 2^64 - 1 cubes.
+  std::vector<basic_key_range<K>> prefix;
+  enumerate_level_ranges(
+      *curve, r, 0,
+      [&](const basic_key_range<K>& kr) {
+        prefix.push_back(kr);
+        return prefix.size() < 777;
+      },
+      ~std::uint64_t{0});
+  ASSERT_EQ(prefix.size(), 777U);
+  for (std::size_t m = 0; m < prefix.size(); ++m) ASSERT_EQ(prefix[m], via_cubes[m]) << m;
+}
+
+TEST(LevelRangeEnumerator, WideRectangleCutByBudget) {
+  for (const curve_kind kind : {curve_kind::z_order, curve_kind::gray_code}) {
+    expect_wide_rectangle_cut<u128>(kind);
+    expect_wide_rectangle_cut<u512>(kind);
+  }
 }
 
 // l = 2^k exercises the P_x == k chosen bit outside the coordinate window,

@@ -62,7 +62,9 @@ TEST(CubeStream, EmitsExactlyTheMinimalPartitionInKeyOrder) {
         bool first = true;
         while (stream.next(&cube)) {
           const key_range kr = c->cube_range(cube);
-          if (!first) EXPECT_LT(prev_hi, kr.lo) << "cube ranges out of key order";
+          if (!first) {
+            EXPECT_LT(prev_hi, kr.lo) << "cube ranges out of key order";
+          }
           prev_hi = kr.hi;
           first = false;
           got.push_back(cube);

@@ -155,10 +155,12 @@ TEST(Runs, RunsTileTheRegionExactly) {
     }
     // Runs are maximal: the cells just outside each run are outside r.
     for (const auto& run : runs) {
-      if (!run.lo.is_zero())
+      if (!run.lo.is_zero()) {
         EXPECT_FALSE(r.contains(h->cell_from_key(run.lo - 1)));
-      if (run.hi != u.cell_count() - 1)
+      }
+      if (run.hi != u.cell_count() - 1) {
         EXPECT_FALSE(r.contains(h->cell_from_key(run.hi + 1)));
+      }
     }
   }
 }

@@ -34,7 +34,9 @@ TEST(MemoryFootprint, BackendsGrowWithInsertAndShrinkWithErase) {
     // The skiplist frees nodes eagerly; the sorted vector keeps capacity.
     // Either way the report must never grow past the high-water mark.
     EXPECT_LE(a->memory_footprint(), full);
-    if (kind == sfc_array_kind::skiplist) EXPECT_LT(a->memory_footprint(), full);
+    if (kind == sfc_array_kind::skiplist) {
+      EXPECT_LT(a->memory_footprint(), full);
+    }
   }
 }
 

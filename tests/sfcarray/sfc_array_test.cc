@@ -119,7 +119,9 @@ TEST_P(SfcArrayBehaviour, BulkLoadMergesIntoExistingEntries) {
     const auto x = a->first_in(r);
     const auto y = reference->first_in(r);
     ASSERT_EQ(x.has_value(), y.has_value());
-    if (x.has_value()) EXPECT_EQ(*x, *y);
+    if (x.has_value()) {
+      EXPECT_EQ(*x, *y);
+    }
   }
 }
 
@@ -138,7 +140,9 @@ TEST_P(SfcArrayBehaviour, HintedProbeAgreesWithPlainProbe) {
     const auto plain = a->first_in(r);
     const auto hinted = a->first_in(r, &hint);
     ASSERT_EQ(plain.has_value(), hinted.has_value()) << "lo=" << lo << " hi=" << hi;
-    if (plain.has_value()) EXPECT_EQ(*plain, *hinted);
+    if (plain.has_value()) {
+      EXPECT_EQ(*plain, *hinted);
+    }
   }
 }
 
@@ -160,7 +164,9 @@ TEST_P(SfcArrayBehaviour, HintSurvivesMutation) {
     const auto plain = a->first_in(r);
     const auto hinted = a->first_in(r, &hint);
     ASSERT_EQ(plain.has_value(), hinted.has_value());
-    if (plain.has_value()) EXPECT_EQ(*plain, *hinted);
+    if (plain.has_value()) {
+      EXPECT_EQ(*plain, *hinted);
+    }
   }
 }
 
@@ -249,7 +255,9 @@ TEST_P(SfcArrayBehaviour, CompactionPolicyNeverChangesAnswers) {
     const auto x = eager->first_in(r);
     const auto y = deferred->first_in(r);
     ASSERT_EQ(x.has_value(), y.has_value());
-    if (x.has_value()) EXPECT_EQ(*x, *y);
+    if (x.has_value()) {
+      EXPECT_EQ(*x, *y);
+    }
     EXPECT_EQ(eager->count_in(r), deferred->count_in(r));
     EXPECT_EQ(eager->size(), deferred->size());
     if (op % 500 == 0) deferred->maintain();  // no-op at threshold 0.0

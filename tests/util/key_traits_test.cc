@@ -39,7 +39,9 @@ TYPED_TEST(KeyTraitsTest, Pow2MaskScan) {
     EXPECT_EQ(T::countl_zero(p), T::kBits - 1 - i) << i;
     EXPECT_EQ(T::bit_floor(p), p) << i;
     EXPECT_TRUE(T::test_bit(p, i)) << i;
-    if (i > 0) EXPECT_FALSE(T::test_bit(p, i - 1)) << i;
+    if (i > 0) {
+      EXPECT_FALSE(T::test_bit(p, i - 1)) << i;
+    }
     // mask(i) == pow2(i) - 1.
     EXPECT_EQ(T::mask(i), static_cast<TypeParam>(p - T::one())) << i;
   }
@@ -71,7 +73,9 @@ TYPED_TEST(KeyTraitsTest, WidenTruncateRoundTrip) {
     EXPECT_EQ(T::bit_width(v), wide.bit_width());
     EXPECT_EQ(T::is_zero(v), wide.is_zero());
     EXPECT_EQ(T::low64(v), wide.low64());
-    if (!T::is_zero(v)) EXPECT_EQ(T::countr_zero(v), wide.countr_zero());
+    if (!T::is_zero(v)) {
+      EXPECT_EQ(T::countr_zero(v), wide.countr_zero());
+    }
     EXPECT_EQ(T::widen(T::bit_floor(v)), wide.bit_floor());
     EXPECT_EQ(T::to_string(v), wide.to_string());
     EXPECT_DOUBLE_EQ(static_cast<double>(T::to_long_double(v)),
