@@ -251,16 +251,18 @@ broker::unsubscribe_action broker::handle_unsubscribe_parallel(int from_link, su
   return action;
 }
 
-broker::event_action broker::handle_event(int from_link, const event& e) const {
-  event_action action;
-  action.forward_links = table_.matching_links(e, from_link);
-  // Local clients always receive matching events, even when the event came
-  // from the local link itself (a publisher can also be a subscriber);
-  // matching_links above excludes the local link from forwards.
-  action.local_deliveries = table_.matching_subs(kLocalLink, e);
+void broker::handle_event(int from_link, const event& e, std::vector<int>& forwards,
+                          std::vector<sub_id>& deliveries) const {
+  forwards.clear();
+  table_.matching_links(e, from_link, forwards);
   // Do not forward back over the local pseudo-link.
-  std::erase(action.forward_links, kLocalLink);
-  return action;
+  std::erase(forwards, kLocalLink);
+  // Local clients always receive matching events, even when the event came
+  // from the local link itself (a publisher can also be a subscriber).
+  // matching_links has already checked every link's schema but from_link's,
+  // and matching_subs checks before appending, so a throw leaves
+  // `deliveries` untouched.
+  table_.matching_subs(kLocalLink, e, deliveries);
 }
 
 broker_snapshot broker::snapshot() const {

@@ -86,10 +86,6 @@ class broker {
     // Suppressed subscriptions that became uncovered and must now be sent.
     std::vector<std::pair<int, std::pair<sub_id, subscription>>> reforwards;
   };
-  struct event_action {
-    std::vector<int> forward_links;
-    std::vector<sub_id> local_deliveries;
-  };
   struct unsubscribe_batch_action {
     // Per link: the ids whose withdrawal must be sent over it (ascending in
     // batch order). Links with no forwarded id from the batch are absent.
@@ -115,7 +111,14 @@ class broker {
   unsubscribe_batch_action handle_unsubscribe_batch(int from_link,
                                                     const std::vector<sub_id>& ids,
                                                     network_metrics& metrics);
-  [[nodiscard]] event_action handle_event(int from_link, const event& e) const;
+  // Routes an event that arrived over `from_link`: replaces `forwards` with
+  // the neighbor links it must be sent over (ascending) and appends the ids
+  // of matching local subscriptions to `deliveries` (ascending). Both are
+  // caller-owned scratch, so a warm caller routes without allocating. On a
+  // schema mismatch throws std::invalid_argument with `deliveries` as it
+  // was.
+  void handle_event(int from_link, const event& e, std::vector<int>& forwards,
+                    std::vector<sub_id>& deliveries) const;
 
   // Parallel variants: semantically identical to the serial handlers above
   // (same action, same metric totals), with the per-link shard work fanned

@@ -350,7 +350,8 @@ void fault_engine::process(const msg& m) {
       break;
     }
     case msg::kind::publish: {
-      const auto action = br.handle_event(m.from, *m.ev);
+      const std::size_t before = delivered_.size();
+      br.handle_event(m.from, *m.ev, forwards_, delivered_);
       // Events mutate no routing state, but their channel position must
       // survive a crash: without the receipt, a retransmission of an
       // already-delivered event would deliver (and count) it twice.
@@ -360,11 +361,8 @@ void fault_engine::process(const msg& m) {
       r.from = m.from;
       r.seq = m.seq;
       wal.append(r);
-      for (const sub_id id : action.local_deliveries) {
-        delivered_.push_back(id);
-        ++metrics_.deliveries;
-      }
-      for (const int link : action.forward_links) {
+      metrics_.deliveries += delivered_.size() - before;
+      for (const int link : forwards_) {
         ++metrics_.event_messages;
         msg out;
         out.k = msg::kind::publish;

@@ -170,6 +170,7 @@ class fault_engine {
   std::vector<std::map<int, std::uint64_t>> next_send_;      // sender: link -> seq
   std::vector<std::map<int, std::map<std::uint64_t, msg>>> buffers_;
   std::vector<sub_id> delivered_;
+  std::vector<int> forwards_;  // handle_event scratch
 };
 
 }  // namespace subcover

@@ -49,6 +49,7 @@ struct network::async_state {
       : inboxes(brokers),
         broker_metrics(brokers),
         broker_deliveries(brokers),
+        broker_forwards(brokers),
         pool(workers) {}
 
   struct inbox {
@@ -62,6 +63,9 @@ struct network::async_state {
   // slot, and the quiescence wait orders the fold-up after every write.
   std::vector<network_metrics> broker_metrics;
   std::vector<std::vector<sub_id>> broker_deliveries;
+  // Per-broker handle_event forward scratch, written only by that broker's
+  // drain job and reused across events.
+  std::vector<std::vector<int>> broker_forwards;
   std::atomic<std::uint64_t> in_flight{0};
   std::mutex done_mu;
   std::condition_variable done_cv;
@@ -158,13 +162,12 @@ struct network::async_state {
         break;
       }
       case net_msg::kind::publish: {
-        const auto action = br.handle_event(msg.from_link, *msg.ev);
         auto& del = broker_deliveries[static_cast<std::size_t>(b)];
-        for (const sub_id id : action.local_deliveries) {
-          del.push_back(id);
-          ++bm.deliveries;
-        }
-        for (const int link : action.forward_links) {
+        auto& forwards = broker_forwards[static_cast<std::size_t>(b)];
+        const std::size_t before = del.size();
+        br.handle_event(msg.from_link, *msg.ev, forwards, del);
+        bm.deliveries += del.size() - before;
+        for (const int link : forwards) {
           ++bm.event_messages;
           enqueue(link, net_msg{net_msg::kind::publish, b, 0, subscription{}, msg.ev});
         }
@@ -338,24 +341,20 @@ std::vector<sub_id> network::publish(int broker_id, const event& e) {
       del.clear();
     }
   } else {
-    struct pending {
-      int broker;
-      int from_link;
-    };
-    std::deque<pending> queue{{broker_id, kLocalLink}};
+    // Breadth-first over the reused vector FIFO: each broker's matching
+    // local subscriptions land straight in `delivered`.
+    publish_fifo_.assign(1, {broker_id, kLocalLink});
     std::exception_ptr first_error;
-    while (!queue.empty()) {
-      const auto [b, from] = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < publish_fifo_.size(); ++head) {
+      const auto [b, from] = publish_fifo_[head];  // a copy: push_back may reallocate
       try {
-        const auto action = brokers_[static_cast<std::size_t>(b)].handle_event(from, e);
-        for (const sub_id id : action.local_deliveries) {
-          delivered.push_back(id);
-          ++metrics_.deliveries;
-        }
-        for (const int link : action.forward_links) {
+        const std::size_t before = delivered.size();
+        brokers_[static_cast<std::size_t>(b)].handle_event(from, e, publish_forwards_,
+                                                           delivered);
+        metrics_.deliveries += delivered.size() - before;
+        for (const int link : publish_forwards_) {
           ++metrics_.event_messages;
-          queue.push_back({link, b});
+          publish_fifo_.emplace_back(link, b);
         }
       } catch (...) {
         if (!first_error) first_error = std::current_exception();

@@ -53,6 +53,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "broker/broker.h"
@@ -141,6 +142,10 @@ class network {
   std::map<sub_id, sub_record> owners_;
   network_metrics metrics_;
   sub_id next_id_ = 1;
+  // Deterministic publish scratch, reused across publishes: the FIFO of
+  // (broker, arrival link) hops and handle_event's forward links.
+  std::vector<std::pair<int, int>> publish_fifo_;
+  std::vector<int> publish_forwards_;
   std::unique_ptr<async_state> async_;
   // The fault-injection executor; null unless options_.faults is set.
   std::unique_ptr<fault_engine> faults_;

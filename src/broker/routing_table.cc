@@ -25,12 +25,14 @@ subscription routing_table::link_entries::body(std::size_t n) const {
 }
 
 bool routing_table::link_entries::matches(std::size_t n, const event& e) const {
+  // Branch-free over the attributes: an entry's outcome is one branch.
   const attr_range* r = ranges.data() + n * static_cast<std::size_t>(width);
+  bool in = true;
   for (int a = 0; a < width; ++a) {
     const std::uint64_t v = e.value(a);
-    if (v < r[a].lo || v > r[a].hi) return false;
+    in &= (v >= r[a].lo) & (v <= r[a].hi);
   }
-  return true;
+  return in;
 }
 
 void routing_table::link_entries::check_event(const event& e) const {
@@ -99,29 +101,27 @@ std::size_t routing_table::entries_on(int link) const {
   return l == nullptr ? 0 : l->ids.size();
 }
 
-std::vector<int> routing_table::matching_links(const event& e, int exclude_link) const {
-  std::vector<int> links;
+void routing_table::matching_links(const event& e, int exclude_link,
+                                   std::vector<int>& out) const {
+  for (const auto& l : links_)
+    if (l.link != exclude_link) l.check_event(e);
   for (const auto& l : links_) {
     if (l.link == exclude_link) continue;
-    l.check_event(e);
     for (std::size_t n = 0; n < l.ids.size(); ++n) {
       if (l.matches(n, e)) {
-        links.push_back(l.link);
+        out.push_back(l.link);
         break;
       }
     }
   }
-  return links;
 }
 
-std::vector<sub_id> routing_table::matching_subs(int link, const event& e) const {
-  std::vector<sub_id> out;
+void routing_table::matching_subs(int link, const event& e, std::vector<sub_id>& out) const {
   const link_entries* l = find(link);
-  if (l == nullptr) return out;
+  if (l == nullptr) return;
   l->check_event(e);
   for (std::size_t n = 0; n < l->ids.size(); ++n)
     if (l->matches(n, e)) out.push_back(l->ids[n]);
-  return out;
 }
 
 std::size_t routing_table::memory_footprint() const {

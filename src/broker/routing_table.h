@@ -39,13 +39,17 @@ class routing_table {
   [[nodiscard]] std::size_t total_entries() const;
   [[nodiscard]] std::size_t entries_on(int link) const;
 
-  // Links (excluding `exclude_link`) holding at least one subscription that
-  // matches the event. Throws std::invalid_argument if a scanned link's
+  // The publish path fills caller-owned scratch, so a warm caller routes an
+  // event without allocating. Both append to `out` and throw
+  // std::invalid_argument, before appending anything, if a scanned link's
   // entries have a different attribute count than the event.
-  [[nodiscard]] std::vector<int> matching_links(const event& e, int exclude_link) const;
-  // Ids of subscriptions on `link` matching the event (local delivery),
-  // ascending. Same schema-mismatch throw.
-  [[nodiscard]] std::vector<sub_id> matching_subs(int link, const event& e) const;
+  //
+  // Appends the links (ascending, excluding `exclude_link`) holding at
+  // least one subscription that matches the event.
+  void matching_links(const event& e, int exclude_link, std::vector<int>& out) const;
+  // Appends the ids of subscriptions on `link` matching the event (local
+  // delivery), ascending.
+  void matching_subs(int link, const event& e, std::vector<sub_id>& out) const;
 
   // All (id, subscription) pairs received over links other than `exclude`.
   [[nodiscard]] std::vector<std::pair<sub_id, subscription>> subs_not_from(int exclude) const;

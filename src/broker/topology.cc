@@ -109,7 +109,12 @@ std::string topology::to_string() const {
   std::string s = "topology(" + std::to_string(size()) + " brokers:";
   for (int i = 0; i < size(); ++i) {
     for (const int nb : neighbors(i)) {
-      if (i < nb) s += " " + std::to_string(i) + "-" + std::to_string(nb);
+      if (i < nb) {
+        s += " ";
+        s += std::to_string(i);
+        s += "-";
+        s += std::to_string(nb);
+      }
     }
   }
   return s + ")";

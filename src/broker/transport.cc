@@ -621,16 +621,14 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
     }
     case msg_type::publish: {
       const event e(schema_, m.values);
-      const auto action = broker_.handle_event(from, e);
+      const std::size_t before = st.delivered.size();
+      broker_.handle_event(from, e, forwards_, st.delivered);
       r.k = wal_record::kind::event_receipt;
       wal_.append(r);
       note_applied(m.op, from, m.seq);
       records_[key] = r;
-      for (const sub_id id : action.local_deliveries) {
-        st.delivered.push_back(id);
-        ++metrics_.deliveries;
-      }
-      for (const int link : action.forward_links) {
+      metrics_.deliveries += st.delivered.size() - before;
+      for (const int link : forwards_) {
         ++metrics_.event_messages;
         wire_msg out;
         out.type = msg_type::publish;
@@ -688,10 +686,8 @@ void broker_daemon::replay_publish(int from, const wire_msg& m, op_state& st) {
   // recomputes the original deliveries and forwards. Logical counters
   // stay untouched: this is physical redo, not new work.
   const event e(schema_, m.values);
-  const auto action = broker_.handle_event(from, e);
-  st.delivered.insert(st.delivered.end(), action.local_deliveries.begin(),
-                      action.local_deliveries.end());
-  for (const int link : action.forward_links) {
+  broker_.handle_event(from, e, forwards_, st.delivered);
+  for (const int link : forwards_) {
     wire_msg out;
     out.type = msg_type::publish;
     out.values = m.values;

@@ -238,6 +238,7 @@ class broker_daemon {
   // checkpoint.
   std::map<msg_key, wal_record> records_;
   std::map<msg_key, std::unique_ptr<op_state>> active_;
+  std::vector<int> forwards_;  // handle_event scratch
 };
 
 // Blocking client used by drivers, tests, and the supervisor: connect to a

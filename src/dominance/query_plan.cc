@@ -7,10 +7,12 @@
 #include <span>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "dominance/dominance_index.h"
 #include "sfc/extremal_decomposition.h"
 #include "sfcarray/tiered_sfc_array.h"
+#include "util/check.h"
 #include "util/radix_sort.h"
 #include "util/simd_kernels.h"
 #include "util/timer.h"
@@ -101,6 +103,90 @@ std::size_t head_scan_plain(const K* ext, const K* lo, std::size_t n) {
     if (wins) best = p;
   }
   return best;
+}
+
+// Galloping threshold of merge_pair: a run whose next kGallop elements all
+// precede the other run's head is copied in one block.
+constexpr std::ptrdiff_t kGallop = 8;
+
+// First position in [p, e) not below `key`, given p[kGallop] < key:
+// doubling steps, then a binary search inside the last one.
+template <class K>
+const K* gallop_to(const K* p, const K* e, const K& key) {
+  const K* lo = p + kGallop;  // below key
+  std::ptrdiff_t step = kGallop;
+  while (e - lo > step && lo[step] < key) {
+    lo += step;
+    step *= 2;
+  }
+  return std::lower_bound(lo + 1, e - lo > step ? lo + step : e, key);
+}
+
+// Merges two adjacent ascending runs [a, mid) and [mid, end) into `out`. A
+// pair already in order is one copy. Segments interleave in long blocks
+// (sub-rectangles of key space), so the merge gallops across a block once
+// it sees one; between blocks it steps branch-free. The lows of a level
+// are distinct, so ties never arise.
+template <class K>
+void merge_pair(const K* a, const K* mid, const K* end, K* out) {
+  const K* b = mid;
+  if (b == end || *(b - 1) < *b) {
+    std::copy(a, end, out);
+    return;
+  }
+  while (a != mid && b != end) {
+    if (mid - a > kGallop && a[kGallop] < *b) {
+      const K* to = gallop_to(a, mid, *b);
+      out = std::copy(a, to, out);
+      a = to;
+    } else if (end - b > kGallop && b[kGallop] < *a) {
+      const K* to = gallop_to(b, end, *a);
+      out = std::copy(b, to, out);
+      b = to;
+    } else {
+      const bool take_b = *b < *a;
+      *out++ = take_b ? *b : *a;
+      a += static_cast<std::size_t>(!take_b);
+      b += static_cast<std::size_t>(take_b);
+    }
+  }
+  std::copy(b, end, std::copy(a, mid, out));
+}
+
+// Merges the key-ascending segments of `col` (segment s starts at
+// starts[s]; the last one runs to the end) into one ascending column:
+// neighbours already in order are concatenated, then pairwise merge passes
+// ping-pong between `col` and `tmp`. Returns whichever holds the result.
+// Clobbers `starts`.
+template <class K>
+const K* merge_segments(std::vector<K>& col, std::vector<K>& tmp,
+                        std::vector<std::size_t>& starts) {
+  const std::size_t n = col.size();
+  std::size_t runs = 0;
+  for (const std::size_t s : starts)
+    if (runs == 0 || col[s] < col[s - 1]) starts[runs++] = s;
+  starts.resize(runs);
+  starts.push_back(n);  // run r spans [starts[r], starts[r + 1])
+  K* src = col.data();
+  if (runs > 1) tmp.resize(n);
+  K* dst = tmp.data();
+  while (runs > 1) {
+    std::size_t out = 0;
+    for (std::size_t r = 0; r < runs; r += 2) {
+      const std::size_t first = starts[r];
+      const std::size_t mid = starts[r + 1];
+      const std::size_t end = r + 2 <= runs ? starts[r + 2] : mid;
+      merge_pair(src + first, src + mid, src + end, dst + first);
+      starts[out++] = first;
+    }
+    starts[out] = n;
+    runs = out;
+    std::swap(src, dst);
+  }
+  SUBCOVER_DCHECK(std::adjacent_find(src, src + n,
+                                     [](const K& a, const K& b) { return !(a < b); }) == src + n,
+                  "query_plan: merged lows not strictly ascending");
+  return src;
 }
 
 // Right-to-left running minimum with the head-rank floor mask.
@@ -261,13 +347,17 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
   // per query rather than once per occupied level. Only the cube's low key
   // is stored — every cube of level i spans the same extent, derived in
   // bulk after enumeration.
+  // In merge mode the XOR-linear curves (Z, Gray) emit each rectangle as
+  // key-ascending segments, whose starts land in segment_starts_, so
+  // ordering the level is a merge rather than a sort.
   std::uint64_t needed = 0;
   std::uint64_t taken = 0;
   auto sink = [&](const K& lo) {
     ts.lo_col.push_back(lo);
     return ++taken < needed;
   };
-  detail::lo_emitter<K, decltype(sink)> ranges(*ts.curve, 0, sink);
+  detail::lo_emitter<K, decltype(sink)> ranges(*ts.curve, 0, sink,
+                                               opts.merge_runs ? &segment_starts_ : nullptr);
   for (int i = u.bits(); i >= 0 && !done; --i) {
     const u512& count = level_counts_[static_cast<std::size_t>(i)];
     if (count.is_zero()) continue;
@@ -305,6 +395,7 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
     // control flow, no over-enumeration. count > 0 already implies the
     // level is occupied, so the walk runs unconditionally.
     ts.lo_col.clear();
+    segment_starts_.clear();
     taken = 0;
     ranges.set_level(i);
     detail::level_walk<decltype(ranges)>(u, target, i, ranges, needed).run();
@@ -317,13 +408,18 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
 
     std::size_t run_count;
     if (opts.merge_runs) {
-      // Coalesce on the key column: sort the lows, then chain cubes that
+      // Coalesce on the key column: order the lows, then chain cubes that
       // sit exactly one cube span apart — byte-identical to
       // merge_ranges_inplace on the materialized ranges (equal-size aligned
-      // cubes can never overlap or be closer than one span). The lows of a
-      // level are distinct, so the radix sort's order is std::sort's.
-      if constexpr (std::is_same_v<K, std::uint64_t>) {
-        radix::sort_u64(ts.lo_col.data(), cube_count, lo_scratch_);
+      // cubes can never overlap or be closer than one span). Segmented
+      // levels merge their sorted segments; Hilbert's lows come in
+      // counting order and are sorted (radix at u64). The lows of a level
+      // are distinct, so either order is std::sort's.
+      const K* sorted = ts.lo_col.data();
+      if (ranges.segmented()) {
+        sorted = merge_segments(ts.lo_col, ts.lo_merge, segment_starts_);
+      } else if constexpr (std::is_same_v<K, std::uint64_t>) {
+        radix::sort_u64(ts.lo_col.data(), cube_count, ts.lo_merge);
       } else {
         std::sort(ts.lo_col.begin(), ts.lo_col.end());
       }
@@ -332,14 +428,14 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       if (cube_count == 1) {
         // Also the only case where the cube span could wrap the key width
         // (the whole-universe cube at d*k bits).
-        ts.run_lo[0] = ts.lo_col[0];
-        ts.run_hi[0] = ts.lo_col[0] | level_mask;
+        ts.run_lo[0] = sorted[0];
+        ts.run_hi[0] = sorted[0] | level_mask;
         run_count = 1;
       } else if constexpr (std::is_same_v<K, std::uint64_t>) {
-        run_count = coalesce_cubes_mode(mode, ts.lo_col.data(), cube_count, level_mask + 1,
+        run_count = coalesce_cubes_mode(mode, sorted, cube_count, level_mask + 1,
                                         ts.run_lo.data(), ts.run_hi.data());
       } else {
-        run_count = coalesce_cubes_plain<K>(ts.lo_col.data(), cube_count,
+        run_count = coalesce_cubes_plain<K>(sorted, cube_count,
                                             level_mask + key_traits<K>::one(),
                                             ts.run_lo.data(), ts.run_hi.data());
       }

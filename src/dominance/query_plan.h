@@ -12,9 +12,9 @@
 // into prefix updates directly, once per Algorithm-2 rectangle on the
 // XOR-linear curves (Z, Gray), whose remaining cube lows then cost one XOR
 // each (rectangle expansion; Hilbert pays the ladder per cube). The plan
-// then coalesces the cubes into
-// runs, orders the runs by volume, and probes them against the SFC array,
-// tracking the searched-volume fraction and the max_cubes budget. The
+// then orders and coalesces the cubes into runs, orders the runs by
+// volume, and probes them against the SFC array, tracking the
+// searched-volume fraction and the max_cubes budget. The
 // search stops at the first hit, at 1 - epsilon coverage, or when the plan
 // is exhausted — identical semantics (results and stats) to the original
 // monolithic query.
@@ -23,7 +23,7 @@
 // of the current level lives in plan-owned columns, not an array of range
 // structs. Enumeration appends each cube's LOW key to `lo_col` (every cube
 // of level i has the same extent — hi is lo | mask(d*i), never stored per
-// cube); coalescing sorts that one key column and emits maximal runs into
+// cube); coalescing orders that one key column and emits maximal runs into
 // the `run_lo` / `run_hi` columns; `run_ext` (hi - lo lanes) feeds the
 // volume ordering and the searched-volume accumulation. On u64-width
 // universes (d*k <= 64, the common case) the per-level work on those
@@ -39,20 +39,27 @@
 // Results, stop decisions and all logical query_stats are identical for
 // every setting at every key width; only speed moves.
 //
-// Linear-time frontier ordering: with comparison sorts, putting a level in
-// order — sorting the cube lows, then ranking the runs by volume — cost a
-// batched covering check more than enumeration and probing, so at u64
-// width both sorts are the LSD radix primitives of util/radix_sort.h. The low sort visits only the digits that vary across the column:
-// level-i lows have their low d*i bits zero and every key is below
-// 2^(d*k), so those digits are skipped outright. The lows of a level are
-// distinct, so the output is std::sort's exactly. The replay order is a
-// stable descending counting sort on the run extents (hi - lo, i.e. run
+// Linear-time frontier ordering: putting a level in order — the cube
+// lows, then the runs by volume — once cost a batched covering check more
+// than enumeration and probing. No comparison sort is left on either. On
+// the XOR-linear curves (Z, Gray) the enumerator emits each Algorithm-2
+// rectangle as key-ascending segments (the sorted-segment contract of
+// extremal_decomposition.h): a rectangle's lows are an affine subspace of
+// key space, walked in key order from its minimum. A level holds only a
+// handful of rectangles, so the plan merges their segments, concatenating
+// neighbours already in order and merging the rest in pairwise passes that
+// ping-pong between lo_col and lo_merge. Hilbert's keys are not XOR-linear:
+// its lows come in counting order and are sorted, with the LSD radix sort
+// of util/radix_sort.h at u64 (only the digits that vary across the
+// column) and std::sort when wider. The lows of a level are distinct, so
+// merge and sort both yield std::sort's order exactly. The replay order is
+// a stable descending counting sort on the run extents (hi - lo, i.e. run
 // length in cubes, scaled): the run columns are already key-ascending, so
-// stability reproduces probes_before's ascending-lo tie-break exactly.
-// Wider keys keep std::sort, and the width-equivalence suites cross-check
-// the two. Both sorts replace the comparison sorts outright — there is no
-// option selecting between them — so results and stats are byte-identical
-// to the comparison-sorted plan by construction.
+// stability reproduces probes_before's ascending-lo tie-break exactly;
+// wider keys keep std::sort there, and the width-equivalence suites
+// cross-check the two. No option selects between these orderings, so
+// results and stats are byte-identical to the comparison-sorted plan by
+// construction.
 //
 // Batched frontier probing (the default, dominance_options::batched_probe):
 // instead of one independent first_in per run — each a fresh O(log n)
@@ -101,9 +108,9 @@
 // identical at every width.
 //
 // Scratch-buffer contract: a plan owns every buffer the search needs (the
-// per-level cube counts, the frontier columns of the current level, the
-// radix sorts' scratch, the batched sweep's order/rank/answer buffers, and
-// the array probe cursor).
+// per-level cube counts, the frontier columns of the current level and
+// their segment starts, the merge and radix scratch, the batched sweep's
+// order/rank/answer buffers, and the array probe cursor).
 // Buffers are reused across run() calls, so after the first query of a
 // given shape the hot path performs zero heap allocations: no
 // std::function dispatch (template visitors), no materialization of the
@@ -175,6 +182,9 @@ class query_plan {
     // constant mask(d*i), so only lows are stored); run_lo/run_hi/run_ext:
     // the coalesced run frontier, key-ascending, one lane per run.
     std::vector<K> lo_col;
+    // Ping-pong partner of lo_col for the segment merge (and the radix
+    // sort's scratch at u64).
+    std::vector<K> lo_merge;
     std::vector<K> run_lo;
     std::vector<K> run_hi;
     std::vector<K> run_ext;
@@ -203,9 +213,10 @@ class query_plan {
   std::vector<std::uint32_t> suffix_min_rank_;
   std::vector<std::uint8_t> hit_found_;
   std::vector<std::uint64_t> hit_id_;
-  // Radix-sort scratch (u64 width only): the cube-low sort's ping-pong
-  // column and the argsorts' permutation buffer.
-  std::vector<std::uint64_t> lo_scratch_;
+  // Level-relative starts of the key-ascending segments the emitter wrote
+  // into lo_col (segmented levels only).
+  std::vector<std::size_t> segment_starts_;
+  // Radix-argsort scratch (u64 width only): the permutation buffer.
   std::vector<std::uint32_t> order_scratch_;
   std::variant<typed_state<std::uint64_t>, typed_state<u128>, typed_state<u512>> state_;
 };

@@ -67,7 +67,11 @@ std::string rect::to_string() const {
   std::string s;
   for (int i = 0; i < dims(); ++i) {
     if (i != 0) s += " x ";
-    s += "[" + std::to_string(lo_[i]) + "," + std::to_string(hi_[i]) + "]";
+    s += "[";
+    s += std::to_string(lo_[i]);
+    s += ",";
+    s += std::to_string(hi_[i]);
+    s += "]";
   }
   return s;
 }

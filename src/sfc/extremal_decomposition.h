@@ -41,6 +41,19 @@
 //     combinations in counting order (dimension-major, positions ascending,
 //     least significant fastest).
 //
+// Sorted-segment contract (lo_emitter, the query planner's column sink):
+// given a segment list, on an XOR-linear curve it emits the same cube set
+// per rectangle — the first `count` cubes in counting order — but as
+// key-ascending segments, recording where each segment starts. A rectangle
+// is one segment; a rectangle cut by the budget or the visitor is
+// popcount(count) segments, one per aligned counting block. The planner
+// then merges the segments instead of sorting the level's lows. Without a
+// segment list, or on any other curve, lo_emitter keeps the Algorithm 1-3
+// order like range_emitter and cube_emitter. A visitor that stops inside a
+// rectangle sees a counting-order prefix only in that order; in segments it
+// sees some subset of the rectangle (the planner stops exactly where the
+// walk's count ends, so it always takes the whole counting prefix).
+//
 // Enumeration is push-style with a template visitor (no std::function, no
 // heap allocation: the enumerator's scratch is fixed-size). A visitor
 // returning bool can stop a level cleanly by returning false — that is how
@@ -323,6 +336,9 @@ class prefix_tracker {
   // Retargets the tracker at another level of the same region family.
   void set_level(int i) { i_ = i; }
 
+  // True iff the curve's cube lows are XOR-linear (expand_sorted applies).
+  [[nodiscard]] bool linear() const { return linear_; }
+
   // Extent of every cube at the current level: hi == lo | level_mask().
   [[nodiscard]] K level_mask() const { return key_traits<K>::mask(d_ * std::min(i_, k_)); }
 
@@ -366,7 +382,77 @@ class prefix_tracker {
     }
   }
 
+  // Key-order form of expand, XOR-linear curves only: emits the same cubes
+  // (the rectangle's first `count` in counting order) as popcount(count)
+  // key-ascending segments, calling `start(n)` before each segment of n
+  // cubes. The counting prefix [0, count) is the union of one aligned block
+  // per set bit j of count: the masks that agree with count above bit j,
+  // have bit j clear, and leave the bits below j free. A block's lows form
+  // an affine subspace, its base low XOR the span of free-bit deltas
+  // 0..j-1. With those deltas in reduced echelon form sorted by leading bit
+  // (red_, each zero at every other's leading bit), the subspace's members
+  // ascend exactly as their leading-bit selections count up. So the walk
+  // starts at the minimum (every leading bit of the base cleared by its
+  // reduced delta) and steps lo ^= reduced prefix XOR[ctz(step) + 1]. Z's
+  // deltas are distinct single bits and reduce to themselves; Gray's, the
+  // bits [d*i, p), reduce to the bits [p_prev, p).
+  template <class Walk, class Sink, class Start>
+  bool expand_sorted(Walk& w, std::uint64_t count, Sink& sink, Start& start) {
+    const K keep = ~level_mask();
+    // Blocks need the deltas below their own bit plus those of count's set
+    // bits above it; the top bit of a power-of-two count is never fixed.
+    const int top = bit_length(count) - 1;
+    const int ndelta = is_pow2(count) ? top : top + 1;
+    K fixed = key_traits<K>::zero();  // deltas of count's set bits above the block
+    for (int b = 0; b < ndelta; ++b) {
+      const auto [x, y] = w.free_bit(static_cast<std::size_t>(b));
+      delta_[static_cast<std::size_t>(b)] = *curve_->unit_cell_key(x, y) & keep;
+      if (((count >> b) & 1U) != 0) fixed ^= delta_[static_cast<std::size_t>(b)];
+    }
+    const K base = lo(w);
+    int rank = 0;  // deltas reduced into red_ so far
+    for (std::uint64_t blocks = count; blocks != 0; blocks &= blocks - 1) {
+      const int j = trailing_zeros(blocks);
+      if (j < ndelta) fixed ^= delta_[static_cast<std::size_t>(j)];
+      for (; rank < j; ++rank) reduce_in(delta_[static_cast<std::size_t>(rank)], rank);
+      K cube = base ^ fixed;
+      for (std::size_t t = 0; t < static_cast<std::size_t>(j); ++t) {
+        if (key_traits<K>::test_bit(cube, pivot_[t])) cube ^= red_[t];
+        prefix_xor_[t + 1] = prefix_xor_[t] ^ red_[t];
+      }
+      const std::uint64_t n = std::uint64_t{1} << j;
+      start(n);
+      for (std::uint64_t step = 0;;) {
+        if (!sink(cube)) return false;
+        if (++step == n) break;
+        cube ^= prefix_xor_[static_cast<std::size_t>(trailing_zeros(step)) + 1];
+      }
+    }
+    return true;
+  }
+
  private:
+  // Adds delta v to the reduced basis red_[0, rank) (ascending leading
+  // bits pivot_, each vector zero at every other's pivot), keeping that
+  // form: clear v at the existing pivots, clear v's own leading bit from the
+  // vectors that hold it, and insert v in pivot order. v stays nonzero
+  // because distinct cubes have distinct lows (the deltas are independent).
+  void reduce_in(K v, int rank) {
+    const auto n = static_cast<std::size_t>(rank);
+    for (std::size_t t = 0; t < n; ++t)
+      if (key_traits<K>::test_bit(v, pivot_[t])) v ^= red_[t];
+    const int p = key_traits<K>::bit_width(v) - 1;
+    for (std::size_t t = 0; t < n; ++t)
+      if (key_traits<K>::test_bit(red_[t], p)) red_[t] ^= v;
+    std::size_t t = n;
+    for (; t > 0 && pivot_[t - 1] > p; --t) {
+      red_[t] = red_[t - 1];
+      pivot_[t] = pivot_[t - 1];
+    }
+    red_[t] = v;
+    pivot_[t] = p;
+  }
+
   const basic_curve<K>* curve_;
   int i_;
   const int k_;
@@ -379,8 +465,15 @@ class prefix_tracker {
   std::array<curve_state, kMaxBitsPerDim> state_;
   std::array<K, kMaxBitsPerDim> prefix_;
   // prefix_xor_[b]: XOR of the low-key deltas of free bits 0..b-1 of the
-  // current rectangle (entry 0 is the empty XOR).
+  // current rectangle, or of reduced deltas 0..b-1 in expand_sorted (entry 0
+  // is the empty XOR).
   std::array<K, 65> prefix_xor_{};
+  // expand_sorted's scratch: the rectangle's free-bit deltas, and their
+  // reduced echelon form with each vector's leading bit (fewer than 64 of
+  // each: count < 2^64).
+  std::array<K, 64> delta_;
+  std::array<K, 64> red_;
+  std::array<int, 64> pivot_;
 };
 
 // Interval view: the visitor receives each cube as its full Equation-1 key
@@ -416,15 +509,27 @@ class range_emitter {
 
 // Column view: the visitor receives only the cube's low key (a `const K&`),
 // the form query_plan's struct-of-arrays level frontier stores — the hi
-// column is never materialized during enumeration.
+// column is never materialized during enumeration. Given a segment list on
+// an XOR-linear curve (segmented()), each rectangle arrives as
+// key-ascending segments (prefix_tracker::expand_sorted) and the position
+// of each segment's first cube, counted from the last set_level, is
+// appended to the list; otherwise cubes arrive in the Algorithm 1-3 order.
 template <class K, class Visitor>
 class lo_emitter {
  public:
-  lo_emitter(const basic_curve<K>& c, int i, Visitor& visit) : tracker_(c, i), visit_(visit) {}
+  lo_emitter(const basic_curve<K>& c, int i, Visitor& visit,
+             std::vector<std::size_t>* segments = nullptr)
+      : tracker_(c, i), visit_(visit), segments_(segments) {}
 
-  void set_level(int i) { tracker_.set_level(i); }
+  void set_level(int i) {
+    tracker_.set_level(i);
+    emitted_ = 0;
+  }
 
   [[nodiscard]] K level_mask() const { return tracker_.level_mask(); }
+
+  // True iff the lows arrive as key-ascending segments.
+  [[nodiscard]] bool segmented() const { return segments_ != nullptr && tracker_.linear(); }
 
   template <class Walk>
   bool operator()(Walk& w, std::uint64_t count) {
@@ -436,12 +541,19 @@ class lo_emitter {
         return true;
       }
     };
-    return tracker_.expand(w, count, sink);
+    if (!segmented()) return tracker_.expand(w, count, sink);
+    auto start = [this](std::uint64_t n) {
+      segments_->push_back(emitted_);
+      emitted_ += n;
+    };
+    return tracker_.expand_sorted(w, count, sink, start);
   }
 
  private:
   prefix_tracker<K> tracker_;
   Visitor& visit_;
+  std::vector<std::size_t>* segments_;
+  std::size_t emitted_ = 0;  // where the next segment starts (cubes since set_level)
 };
 
 // The curve-independent standard_cube view over the walk, for callers that

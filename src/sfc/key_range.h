@@ -42,7 +42,14 @@ struct basic_key_range {
   }
   [[nodiscard]] bool contains(const K& key) const { return lo <= key && key <= hi; }
   [[nodiscard]] std::string to_string() const {
-    return "[" + key_traits<K>::to_string(lo) + ", " + key_traits<K>::to_string(hi) + "]";
+    // Appended to one string: GCC 12 flags `"literal" + std::string&&`
+    // with a false-positive -Wrestrict.
+    std::string s = "[";
+    s += key_traits<K>::to_string(lo);
+    s += ", ";
+    s += key_traits<K>::to_string(hi);
+    s += "]";
+    return s;
   }
 
   friend bool operator==(const basic_key_range&, const basic_key_range&) = default;

@@ -66,17 +66,75 @@ TEST_F(BrokerTest, EventRoutedToMatchingLinksOnly) {
   (void)b.handle_subscribe(1, 1, sub("attr0 <= 10"), m_);
   (void)b.handle_subscribe(2, 2, sub("attr0 >= 200"), m_);
   (void)b.handle_subscribe(kLocalLink, 3, sub("attr0 = 5"), m_);
-  const auto action = b.handle_event(kLocalLink, event(s_, {5}));
-  EXPECT_EQ(action.forward_links, (std::vector<int>{1}));
-  EXPECT_EQ(action.local_deliveries, (std::vector<sub_id>{3}));
+  std::vector<int> forwards;
+  std::vector<sub_id> deliveries;
+  b.handle_event(kLocalLink, event(s_, {5}), forwards, deliveries);
+  EXPECT_EQ(forwards, (std::vector<int>{1}));
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{3}));
 }
 
 TEST_F(BrokerTest, EventNotSentBackToSource) {
   broker b = make_broker({1, 2});
   (void)b.handle_subscribe(1, 1, sub("attr0 <= 10"), m_);
   (void)b.handle_subscribe(2, 2, sub("attr0 <= 10"), m_);
-  const auto action = b.handle_event(1, event(s_, {5}));
-  EXPECT_EQ(action.forward_links, (std::vector<int>{2}));
+  std::vector<int> forwards;
+  std::vector<sub_id> deliveries;
+  b.handle_event(1, event(s_, {5}), forwards, deliveries);
+  EXPECT_EQ(forwards, (std::vector<int>{2}));
+  EXPECT_TRUE(deliveries.empty());
+}
+
+// One scratch pair reused across events, as the network's publish loop
+// reuses it: forwards are replaced per event, deliveries accumulate, and
+// an event matching nothing adds neither.
+TEST_F(BrokerTest, EventScratchReusedAcrossEvents) {
+  broker b = make_broker({1, 2, 3});
+  (void)b.handle_subscribe(1, 1, sub("attr0 <= 10"), m_);
+  (void)b.handle_subscribe(2, 2, sub("attr0 <= 20"), m_);
+  (void)b.handle_subscribe(3, 3, sub("attr0 >= 200"), m_);
+  (void)b.handle_subscribe(kLocalLink, 4, sub("attr0 <= 10"), m_);
+  (void)b.handle_subscribe(kLocalLink, 5, sub("attr0 in [5, 6]"), m_);
+  std::vector<int> forwards;
+  std::vector<sub_id> deliveries;
+  b.handle_event(kLocalLink, event(s_, {5}), forwards, deliveries);
+  EXPECT_EQ(forwards, (std::vector<int>{1, 2}));
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{4, 5}));
+  b.handle_event(2, event(s_, {100}), forwards, deliveries);
+  EXPECT_TRUE(forwards.empty());
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{4, 5}));
+  b.handle_event(1, event(s_, {250}), forwards, deliveries);
+  EXPECT_EQ(forwards, (std::vector<int>{3}));
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{4, 5}));
+  b.handle_event(3, event(s_, {6}), forwards, deliveries);
+  EXPECT_EQ(forwards, (std::vector<int>{1, 2}));
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{4, 5, 4, 5}));
+}
+
+// A schema mismatch anywhere throws before any local delivery is appended,
+// even when the local subscriptions match and are of the event's schema.
+TEST_F(BrokerTest, SchemaMismatchLeavesNoPartialDeliveries) {
+  broker b = make_broker({1, 2});
+  (void)b.handle_subscribe(kLocalLink, 1, sub("attr0 <= 10"), m_);
+  // Link 1 ends up holding a two-attribute entry (the routing table
+  // records it before any shard sees it, whatever the shards make of it).
+  const schema wide = workload::make_uniform_schema(2, 8);
+  try {
+    (void)b.handle_subscribe(1, 2, subscription::match_all(wide), m_);
+  } catch (const std::exception&) {
+  }
+  ASSERT_EQ(b.table().entries_on(1), 1U);
+  std::vector<int> forwards;
+  std::vector<sub_id> deliveries{7};
+  EXPECT_THROW(b.handle_event(2, event(s_, {5}), forwards, deliveries), std::invalid_argument);
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{7}));
+  // The wide event matches link 1 but not the local link's schema.
+  EXPECT_THROW(b.handle_event(2, event(wide, {5, 5}), forwards, deliveries),
+               std::invalid_argument);
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{7}));
+  // From link 1 itself nothing mismatches the one-attribute event.
+  b.handle_event(1, event(s_, {5}), forwards, deliveries);
+  EXPECT_TRUE(forwards.empty());
+  EXPECT_EQ(deliveries, (std::vector<sub_id>{7, 1}));
 }
 
 TEST_F(BrokerTest, UnsubscribeWithdrawsAndReforwards) {

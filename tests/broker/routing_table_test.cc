@@ -15,6 +15,19 @@
 namespace subcover {
 namespace {
 
+// Fresh-vector views of the out-param matching API.
+std::vector<int> links_matching(const routing_table& t, const event& e, int exclude_link) {
+  std::vector<int> out;
+  t.matching_links(e, exclude_link, out);
+  return out;
+}
+
+std::vector<sub_id> subs_matching(const routing_table& t, int link, const event& e) {
+  std::vector<sub_id> out;
+  t.matching_subs(link, e, out);
+  return out;
+}
+
 class RoutingTableTest : public ::testing::Test {
  protected:
   schema s_ = workload::make_uniform_schema(1, 8);
@@ -57,18 +70,18 @@ TEST_F(RoutingTableTest, MatchingLinks) {
   t_.add(2, 20, sub("attr0 >= 200"));
   t_.add(3, 30, sub("attr0 in [5, 8]"));
   const event e(s_, {7});
-  EXPECT_EQ(t_.matching_links(e, /*exclude_link=*/-99), (std::vector<int>{1, 3}));
+  EXPECT_EQ(links_matching(t_, e, /*exclude_link=*/-99), (std::vector<int>{1, 3}));
   // Excluded link is skipped even if it matches.
-  EXPECT_EQ(t_.matching_links(e, 1), (std::vector<int>{3}));
+  EXPECT_EQ(links_matching(t_, e, 1), (std::vector<int>{3}));
 }
 
 TEST_F(RoutingTableTest, MatchingSubs) {
   t_.add(kLocalLink, 10, sub("attr0 <= 10"));
   t_.add(kLocalLink, 11, sub("attr0 >= 5"));
   t_.add(1, 12, sub("attr0 = 7"));
-  EXPECT_EQ(t_.matching_subs(kLocalLink, event(s_, {7})), (std::vector<sub_id>{10, 11}));
-  EXPECT_EQ(t_.matching_subs(kLocalLink, event(s_, {3})), (std::vector<sub_id>{10}));
-  EXPECT_TRUE(t_.matching_subs(5, event(s_, {3})).empty());
+  EXPECT_EQ(subs_matching(t_, kLocalLink, event(s_, {7})), (std::vector<sub_id>{10, 11}));
+  EXPECT_EQ(subs_matching(t_, kLocalLink, event(s_, {3})), (std::vector<sub_id>{10}));
+  EXPECT_TRUE(subs_matching(t_, 5, event(s_, {3})).empty());
 }
 
 TEST_F(RoutingTableTest, SubsNotFrom) {
@@ -85,7 +98,7 @@ TEST_F(RoutingTableTest, RemoveCleansEmptyLink) {
   t_.add(1, 10, sub("attr0 <= 10"));
   EXPECT_TRUE(t_.remove(1, 10));
   EXPECT_EQ(t_.total_entries(), 0U);
-  EXPECT_TRUE(t_.matching_links(event(s_, {5}), -99).empty());
+  EXPECT_TRUE(links_matching(t_, event(s_, {5}), -99).empty());
 }
 
 // Reference model: the node-based map of maps, scanned with matches().
@@ -167,6 +180,8 @@ TEST(RoutingTableDifferential, MatchesMapReferenceModel) {
   const std::size_t empty_bytes = t.memory_footprint();
   const int links[] = {kLocalLink, 0, 1, 2, 5};
   const auto pick_link = [&] { return links[gen.index(std::size(links))]; };
+  std::vector<int> link_scratch;
+  std::vector<sub_id> sub_scratch;
   for (int step = 0; step < 6000; ++step) {
     SCOPED_TRACE(testing::Message() << "step " << step);
     const int link = pick_link();
@@ -188,10 +203,16 @@ TEST(RoutingTableDifferential, MatchesMapReferenceModel) {
         ASSERT_EQ(t.remove(link, id), ref.remove(link, id));
         break;
       case 5: {
+        // One reused scratch pair across the whole sequence, as the
+        // publish path uses it.
         const event e = events.next();
         const int exclude = gen.bernoulli(0.5) ? pick_link() : -99;
-        ASSERT_EQ(t.matching_links(e, exclude), ref.matching_links(e, exclude));
-        ASSERT_EQ(t.matching_subs(link, e), ref.matching_subs(link, e));
+        link_scratch.clear();
+        t.matching_links(e, exclude, link_scratch);
+        ASSERT_EQ(link_scratch, ref.matching_links(e, exclude));
+        sub_scratch.clear();
+        t.matching_subs(link, e, sub_scratch);
+        ASSERT_EQ(sub_scratch, ref.matching_subs(link, e));
         break;
       }
       case 6:
@@ -234,7 +255,7 @@ TEST(RoutingTableDifferential, LinkThatEmptiesReappearsWithItsOwnSchema) {
   EXPECT_EQ(t.entries_on(1), 0U);
   // An emptied link keeps no schema: it comes back with whatever it holds.
   t.add(1, 10, subscription::match_all(three));
-  EXPECT_EQ(t.matching_subs(1, event(three, {1, 2, 3})), (std::vector<sub_id>{10}));
+  EXPECT_EQ(subs_matching(t, 1, event(three, {1, 2, 3})), (std::vector<sub_id>{10}));
   EXPECT_EQ(t.snapshot().at(1).front().second, subscription::match_all(three));
 }
 
@@ -250,12 +271,38 @@ TEST(RoutingTableDifferential, SchemaMismatchThrows) {
   // ...but may sit on a different link.
   t.add(2, 11, subscription::match_all(one));
   // An event of the wrong schema throws on every scanned link, as matches()
-  // does; an excluded link is never scanned.
+  // does, before appending anything; an excluded link is never scanned.
   const event e1(one, {3});
-  EXPECT_THROW((void)t.matching_subs(1, e1), std::invalid_argument);
-  EXPECT_THROW((void)t.matching_links(e1, /*exclude_link=*/2), std::invalid_argument);
-  EXPECT_EQ(t.matching_links(e1, /*exclude_link=*/1), (std::vector<int>{2}));
-  EXPECT_EQ(t.matching_subs(2, e1), (std::vector<sub_id>{11}));
+  std::vector<int> links{42};
+  std::vector<sub_id> ids{42};
+  EXPECT_THROW(t.matching_subs(1, e1, ids), std::invalid_argument);
+  EXPECT_THROW(t.matching_links(e1, /*exclude_link=*/2, links), std::invalid_argument);
+  EXPECT_EQ(links, (std::vector<int>{42}));
+  EXPECT_EQ(ids, (std::vector<sub_id>{42}));
+  // Link 1 matches this event and sorts before the mismatched link 2: the
+  // throw still comes before link 1 is appended.
+  EXPECT_THROW(t.matching_links(event(two, {1, 2}), /*exclude_link=*/-99, links),
+               std::invalid_argument);
+  EXPECT_EQ(links, (std::vector<int>{42}));
+  EXPECT_EQ(links_matching(t, e1, /*exclude_link=*/1), (std::vector<int>{2}));
+  EXPECT_EQ(subs_matching(t, 2, e1), (std::vector<sub_id>{11}));
+}
+
+// The matching calls append to caller-owned scratch: earlier contents
+// stay, and the new answers follow in order.
+TEST_F(RoutingTableTest, MatchingAppendsToScratch) {
+  t_.add(kLocalLink, 10, sub("attr0 <= 10"));
+  t_.add(kLocalLink, 11, sub("attr0 >= 5"));
+  t_.add(1, 12, sub("attr0 = 7"));
+  t_.add(2, 13, sub("attr0 >= 200"));
+  std::vector<int> links{99};
+  t_.matching_links(event(s_, {7}), /*exclude_link=*/-99, links);
+  EXPECT_EQ(links, (std::vector<int>{99, kLocalLink, 1}));
+  std::vector<sub_id> ids{99};
+  t_.matching_subs(kLocalLink, event(s_, {7}), ids);
+  t_.matching_subs(2, event(s_, {7}), ids);
+  t_.matching_subs(kLocalLink, event(s_, {3}), ids);
+  EXPECT_EQ(ids, (std::vector<sub_id>{99, 10, 11, 10}));
 }
 
 }  // namespace

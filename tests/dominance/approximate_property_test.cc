@@ -154,9 +154,13 @@ INSTANTIATE_TEST_SUITE_P(
                       approx_case{6, 4, 0.05}, approx_case{6, 4, 0.3},
                       approx_case{8, 3, 0.1}),
     [](const ::testing::TestParamInfo<approx_case>& info) {
-      return "d" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_eps" +
-             std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
+      std::string name = "d";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_eps";
+      name += std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
+      return name;
     });
 
 }  // namespace

@@ -310,28 +310,34 @@ TEST(QueryPlan, WarmPlanPerformsZeroHeapAllocations) {
   // The acceptance criterion of the streaming refactor: after warm-up, a
   // query allocates nothing — no std::function, no materialized
   // decomposition, no per-query vectors.
+  // Every curve: Z and Gray merge the enumerator's sorted segments (the
+  // segment starts live in plan scratch), Hilbert radix-sorts its lows.
   const universe u(2, 9);
-  for (const auto array : {sfc_array_kind::skiplist, sfc_array_kind::sorted_vector}) {
-    dominance_options opts;
-    opts.array = array;
-    dominance_index idx(u, opts);
-    rng gen(77);
-    for (std::uint64_t i = 0; i < 500; ++i) idx.insert(random_point(gen, u), i);
+  for (const auto curve : {curve_kind::z_order, curve_kind::gray_code, curve_kind::hilbert}) {
+    for (const auto array : {sfc_array_kind::skiplist, sfc_array_kind::sorted_vector}) {
+      dominance_options opts;
+      opts.curve = curve;
+      opts.array = array;
+      dominance_index idx(u, opts);
+      rng gen(77);
+      for (std::uint64_t i = 0; i < 500; ++i) idx.insert(random_point(gen, u), i);
 
-    query_plan plan(idx);
-    const point miss{255, 255};  // 257x257 region, 385+ runs when exhaustive
-    const point probe{10, 10};   // large region, likely early hit
-    for (const double eps : {0.0, 0.01, 0.5}) {
-      (void)plan.run(miss, eps);
-      (void)plan.run(probe, eps);
-    }
-    for (const double eps : {0.0, 0.01, 0.5}) {
-      const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-      (void)plan.run(miss, eps);
-      (void)plan.run(probe, eps);
-      const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-      EXPECT_EQ(after, before) << "eps=" << eps << " array="
-                               << (array == sfc_array_kind::skiplist ? "skiplist" : "vector");
+      query_plan plan(idx);
+      const point miss{255, 255};  // 257x257 region, 385+ runs when exhaustive
+      const point probe{10, 10};   // large region, likely early hit
+      for (const double eps : {0.0, 0.01, 0.5}) {
+        (void)plan.run(miss, eps);
+        (void)plan.run(probe, eps);
+      }
+      for (const double eps : {0.0, 0.01, 0.5}) {
+        const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+        (void)plan.run(miss, eps);
+        (void)plan.run(probe, eps);
+        const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+        EXPECT_EQ(after, before) << "eps=" << eps << " curve=" << curve_kind_name(curve)
+                                 << " array="
+                                 << (array == sfc_array_kind::skiplist ? "skiplist" : "vector");
+      }
     }
   }
 }

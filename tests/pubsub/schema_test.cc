@@ -83,7 +83,7 @@ TEST(Schema, RejectsDuplicateLabels) {
 TEST(Schema, RejectsTooManyAttributes) {
   std::vector<attribute_def> attrs;
   for (int i = 0; i <= kMaxDims / 2; ++i)
-    attrs.push_back({"a" + std::to_string(i), attribute_type::numeric, 4, {}});
+    attrs.push_back({std::string("a").append(std::to_string(i)), attribute_type::numeric, 4, {}});
   EXPECT_THROW(schema(std::move(attrs)), std::invalid_argument);
 }
 

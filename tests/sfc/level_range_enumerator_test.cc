@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -324,6 +326,69 @@ TEST(LevelRangeEnumerator, BudgetExceededThrows) {
                std::length_error);
 }
 
+// --- sorted segments (lo_emitter with a segment list) -----------------------
+
+template <class K>
+struct segmented_level {
+  std::vector<K> lows;
+  std::vector<std::size_t> starts;
+  bool threw = false;
+};
+
+// Runs lo_emitter with a segment list over level i, the way query_plan
+// does: a visitor that stops at `stop_at` cubes (0 = never) under a walk
+// budget of `budget` cubes.
+template <class K>
+segmented_level<K> segmented_emission(const basic_curve<K>& curve, const extremal_rect& r,
+                                      int i, std::uint64_t budget, std::size_t stop_at = 0) {
+  segmented_level<K> out;
+  auto visit = [&](const K& lo) {
+    out.lows.push_back(lo);
+    return stop_at == 0 || out.lows.size() < stop_at;
+  };
+  detail::lo_emitter<K, decltype(visit)> emit(curve, i, visit, &out.starts);
+  EXPECT_TRUE(emit.segmented());
+  try {
+    detail::level_walk<decltype(emit)>(curve.space(), r, i, emit, budget).run();
+  } catch (const std::length_error&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+// The sorted-segment contract on one cut: segments start at 0, each is
+// strictly key-ascending, there are at most (rectangles touched) +
+// popcount(cubes taken from the cut rectangle) of them, and the lows are
+// the counting-order emission's first `n` lows as a multiset.
+template <class K>
+void expect_segments(const segmented_level<K>& got, const std::vector<basic_key_range<K>>& all,
+                     const std::vector<std::size_t>& rect_starts, std::size_t n) {
+  SCOPED_TRACE(testing::Message() << "n=" << n);
+  ASSERT_EQ(got.lows.size(), n);
+  ASSERT_FALSE(got.starts.empty());
+  EXPECT_EQ(got.starts.front(), 0U);
+  for (std::size_t s = 0; s < got.starts.size(); ++s) {
+    const std::size_t first = got.starts[s];
+    const std::size_t end = s + 1 < got.starts.size() ? got.starts[s + 1] : n;
+    ASSERT_LT(first, end) << "segment " << s;
+    for (std::size_t m = first + 1; m < end; ++m)
+      ASSERT_LT(got.lows[m - 1], got.lows[m]) << "segment " << s << " position " << m;
+  }
+  // The rectangle holding cube n - 1, and how many of its cubes were taken.
+  const std::size_t rect =
+      static_cast<std::size_t>(std::upper_bound(rect_starts.begin(), rect_starts.end(), n - 1) -
+                               rect_starts.begin()) -
+      1;
+  const std::size_t cut = n - rect_starts[rect];
+  EXPECT_LE(got.starts.size(), rect + 1 + static_cast<std::size_t>(std::popcount(cut)));
+  std::vector<K> expect;
+  for (std::size_t m = 0; m < n; ++m) expect.push_back(all[m].lo);
+  std::vector<K> lows = got.lows;
+  std::sort(expect.begin(), expect.end());
+  std::sort(lows.begin(), lows.end());
+  ASSERT_EQ(lows, expect);
+}
+
 // A rectangle with more than 64 free bits: on a 4-d, 30-bit universe,
 // R(2^29 + 1, ...) at level 0 opens with P = (0, 29, 29, 29) — 87 free
 // bits, 2^87 cubes. Only the low free bits can flip before the budget or
@@ -361,6 +426,15 @@ void expect_wide_rectangle_cut(curve_kind kind) {
       ~std::uint64_t{0});
   ASSERT_EQ(prefix.size(), 777U);
   for (std::size_t m = 0; m < prefix.size(); ++m) ASSERT_EQ(prefix[m], via_cubes[m]) << m;
+  // The same two cuts as sorted segments: the whole level is one
+  // rectangle, so popcount(cut) bounds the segments.
+  const std::vector<std::size_t> one_rect{0};
+  const auto budgeted = segmented_emission(*curve, r, 0, kBudget);
+  EXPECT_TRUE(budgeted.threw);
+  expect_segments(budgeted, via_cubes, one_rect, kBudget);
+  const auto stopped = segmented_emission(*curve, r, 0, 777, 777);
+  EXPECT_FALSE(stopped.threw);
+  expect_segments(stopped, via_cubes, one_rect, 777);
 }
 
 TEST(LevelRangeEnumerator, WideRectangleCutByBudget) {
@@ -368,6 +442,100 @@ TEST(LevelRangeEnumerator, WideRectangleCutByBudget) {
     expect_wide_rectangle_cut<u128>(kind);
     expect_wide_rectangle_cut<u512>(kind);
   }
+}
+
+// Level 0 of R(257, 300) on a 2-d, 9-bit universe, cut by a visitor stop
+// (with the budget at the stop, as the planner runs it) and by the budget
+// alone, and taken whole. The cuts are the boundary stop points plus, in
+// every rectangle of at least three cubes, all but its last cube
+// (popcount(2^n - 1) = n blocks) and three cubes in (two blocks).
+template <class K>
+void expect_sorted_segments(curve_kind kind) {
+  SCOPED_TRACE(testing::Message() << curve_kind_name(kind) << " bits=" << key_traits<K>::kBits);
+  const universe u(2, 9);
+  const extremal_rect r(u, lengths({257, 300}));
+  const auto curve = make_basic_curve<K>(kind, u);
+  std::vector<basic_key_range<K>> all;
+  enumerate_level_ranges(*curve, r, 0, [&](const basic_key_range<K>& kr) { all.push_back(kr); });
+  std::vector<standard_cube> cubes;
+  std::vector<std::size_t> rect_starts;
+  reference_enumerator(u, r, 0, cubes, &rect_starts).run();
+  ASSERT_EQ(cubes.size(), all.size());
+  const auto whole = segmented_emission(*curve, r, 0, all.size());
+  EXPECT_FALSE(whole.threw);
+  expect_segments(whole, all, rect_starts, all.size());
+  std::vector<std::size_t> stops = boundary_stop_points(u, r);
+  for (std::size_t m = 0; m < rect_starts.size(); ++m) {
+    const std::size_t first = rect_starts[m];
+    const std::size_t size = (m + 1 < rect_starts.size() ? rect_starts[m + 1] : all.size()) - first;
+    if (size >= 3) stops.insert(stops.end(), {first + 3, first + size - 1});
+  }
+  for (const std::size_t n : stops) {
+    const auto stopped = segmented_emission(*curve, r, 0, n, n);
+    EXPECT_FALSE(stopped.threw) << "n=" << n;
+    expect_segments(stopped, all, rect_starts, n);
+    if (n == all.size()) continue;
+    const auto budgeted = segmented_emission(*curve, r, 0, n);
+    EXPECT_TRUE(budgeted.threw) << "n=" << n;
+    expect_segments(budgeted, all, rect_starts, n);
+  }
+}
+
+TEST(LevelRangeEnumerator, SortedSegmentsCoverTheCountingPrefix) {
+  for (const curve_kind kind : {curve_kind::z_order, curve_kind::gray_code}) {
+    expect_sorted_segments<std::uint64_t>(kind);
+    expect_sorted_segments<u128>(kind);
+    expect_sorted_segments<u512>(kind);
+  }
+}
+
+// Every level of random regions, whole: one segment per rectangle at most.
+TEST(LevelRangeEnumerator, SortedSegmentsRandomRegions) {
+  for (const curve_kind kind : {curve_kind::z_order, curve_kind::gray_code}) {
+    for (const auto& [d, k] : std::vector<std::pair<int, int>>{{1, 6}, {2, 5}, {3, 4}, {4, 3}}) {
+      const universe u(d, k);
+      const auto curve = make_basic_curve<std::uint64_t>(kind, u);
+      rng gen(static_cast<std::uint64_t>(d * 100 + k));
+      for (int trial = 0; trial < 15; ++trial) {
+        const auto r = random_extremal(gen, u);
+        for (int i = 0; i <= u.bits(); ++i) {
+          SCOPED_TRACE(testing::Message() << curve_kind_name(kind) << " " << r.to_string()
+                                          << " level " << i);
+          std::vector<basic_key_range<std::uint64_t>> all;
+          enumerate_level_ranges(*curve, r, i, [&](const basic_key_range<std::uint64_t>& kr) {
+            all.push_back(kr);
+          });
+          if (all.empty()) continue;
+          std::vector<standard_cube> cubes;
+          std::vector<std::size_t> rect_starts;
+          reference_enumerator(u, r, i, cubes, &rect_starts).run();
+          const auto got = segmented_emission(*curve, r, i, all.size());
+          expect_segments(got, all, rect_starts, all.size());
+          EXPECT_LE(got.starts.size(), rect_starts.size());
+        }
+      }
+    }
+  }
+}
+
+// Hilbert is not XOR-linear: given a segment list, lo_emitter still emits
+// in counting order and records no segments.
+TEST(LevelRangeEnumerator, HilbertLowsStayInCountingOrder) {
+  const universe u(2, 9);
+  const extremal_rect r(u, lengths({257, 300}));
+  const auto curve = make_basic_curve<std::uint64_t>(curve_kind::hilbert, u);
+  std::vector<basic_key_range<std::uint64_t>> all;
+  enumerate_level_ranges(*curve, r, 0,
+                         [&](const basic_key_range<std::uint64_t>& kr) { all.push_back(kr); });
+  std::vector<std::uint64_t> lows;
+  std::vector<std::size_t> starts;
+  auto visit = [&](const std::uint64_t& lo) { lows.push_back(lo); };
+  detail::lo_emitter<std::uint64_t, decltype(visit)> emit(*curve, 0, visit, &starts);
+  EXPECT_FALSE(emit.segmented());
+  detail::level_walk<decltype(emit)>(u, r, 0, emit, all.size()).run();
+  EXPECT_TRUE(starts.empty());
+  ASSERT_EQ(lows.size(), all.size());
+  for (std::size_t m = 0; m < lows.size(); ++m) ASSERT_EQ(lows[m], all[m].lo) << m;
 }
 
 // l = 2^k exercises the P_x == k chosen bit outside the coordinate window,
