@@ -70,6 +70,16 @@ struct basic_byte_reader {
     }
   }
   std::int64_t signed_varint() { return unzigzag(varint()); }
+  // An element count read from the payload, for sizing a container. Every
+  // element takes at least one byte, so a count above the bytes left is
+  // corrupt; rejecting it here keeps reserve() from ever seeing an
+  // attacker-sized value (which would throw std::length_error or
+  // std::bad_alloc, not Error).
+  std::uint64_t count() {
+    const std::uint64_t n = varint();
+    if (n > static_cast<std::uint64_t>(end - p)) throw Error("codec: count exceeds payload");
+    return n;
+  }
   std::uint8_t byte() {
     if (p == end) throw Error("codec: truncated payload");
     return *p++;
@@ -158,7 +168,7 @@ inline void put_id_sub_list(std::vector<std::uint8_t>& out,
 
 template <class Error>
 std::vector<std::pair<sub_id, subscription>> read_id_sub_list(basic_byte_reader<Error>& in) {
-  const auto n = in.varint();
+  const auto n = in.count();
   std::vector<std::pair<sub_id, subscription>> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

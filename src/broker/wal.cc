@@ -103,7 +103,7 @@ wal_record decode_record(const std::uint8_t* p, std::size_t n) {
     case wal_record::kind::subscribe: {
       r.id = in.varint();
       r.body = codec::read_subscription(in);
-      const auto nlinks = in.varint();
+      const auto nlinks = in.count();
       r.forwarded_links.reserve(nlinks);
       for (std::uint64_t i = 0; i < nlinks; ++i)
         r.forwarded_links.push_back(static_cast<int>(in.signed_varint()));
@@ -111,11 +111,11 @@ wal_record decode_record(const std::uint8_t* p, std::size_t n) {
     }
     case wal_record::kind::unsubscribe: {
       r.id = in.varint();
-      const auto nw = in.varint();
+      const auto nw = in.count();
       r.withdrawn_links.reserve(nw);
       for (std::uint64_t i = 0; i < nw; ++i)
         r.withdrawn_links.push_back(static_cast<int>(in.signed_varint()));
-      const auto nrf = in.varint();
+      const auto nrf = in.count();
       r.reforwards.reserve(nrf);
       for (std::uint64_t i = 0; i < nrf; ++i) {
         const int link = static_cast<int>(in.signed_varint());

@@ -75,7 +75,7 @@ void put_id_list(std::vector<std::uint8_t>& out, const std::vector<sub_id>& ids)
 }
 
 std::vector<sub_id> read_id_list(wire_reader& in) {
-  const auto n = in.varint();
+  const auto n = in.count();
   std::vector<sub_id> ids;
   ids.reserve(n);
   std::uint64_t prev = 0;

@@ -9,34 +9,11 @@
 
 namespace subcover {
 
-namespace {
-
-dominance_options to_dominance_options(const sfc_covering_options& o) {
-  dominance_options d;
-  d.curve = o.curve;
-  d.array = o.array;
-  d.width = o.width;
-  d.merge_runs = o.merge_runs;
-  d.batched_probe = o.batched_probe;
-  d.head_probe = o.head_probe;
-  d.simd = o.simd;
-  d.max_cubes = o.max_cubes;
-  d.settle_on_budget = o.settle_on_budget;
-  d.tier_hot_capacity = o.tier_hot_capacity;
-  d.tier_block_entries = o.tier_block_entries;
-  d.compact_live_fraction = o.compact_live_fraction;
-  return d;
-}
-
-}  // namespace
-
 sfc_covering_index::sfc_covering_index(const schema& s, sfc_covering_options options)
-    : covering_index(s),
-      options_(options),
-      index_(s.dominance_universe(), to_dominance_options(options)) {}
+    : covering_index(s), index_(s.dominance_universe(), options) {}
 
 std::string_view sfc_covering_index::name() const {
-  switch (options_.curve) {
+  switch (index_.options().curve) {
     case curve_kind::z_order:
       return "sfc-z";
     case curve_kind::hilbert:

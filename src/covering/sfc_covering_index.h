@@ -21,49 +21,22 @@
 
 namespace subcover {
 
-struct sfc_covering_options {
-  curve_kind curve = curve_kind::z_order;
-  sfc_array_kind array = sfc_array_kind::skiplist;
-  // Key width of the dominance pipeline; `automatic` picks the narrowest
-  // type that fits the 2*beta-dimensional dominance universe (most schemas
-  // fit 128 bits — see util/key_traits.h).
-  key_width width = key_width::automatic;
-  bool merge_runs = true;
-  // Batched frontier probing (see dominance_options::batched_probe): answer
-  // each level's run frontier with one resumed probe_frontier sweep instead
-  // of per-run descents. Identical detection results either way.
-  bool batched_probe = true;
-  // Head-probe depth before the frontier sweep engages (see
-  // dominance_options::head_probe): 1 = the pinned scan-only head, > 1 =
-  // fixed deeper head. Identical detection results for every setting.
-  int head_probe = 1;
-  // SIMD policy for the dominance plan's level-frontier kernels (see
-  // dominance_options::simd / util/simd.h). Identical detection results and
-  // logical stats for every setting; only speed moves.
-  simd_mode simd = simd_mode::automatic;
-  // Covering queries for subscriptions with wildcard or open-ended
-  // constraints produce degenerate (unit-thickness, huge-aspect-ratio)
-  // dominance regions — the paper's "M x 1" worst case — whose full
-  // decomposition is astronomically large. Production behaviour is
-  // best-effort within a cube budget: the search probes the largest cubes it
-  // could enumerate and reports budget_exhausted in the stats. Detection
-  // stays one-sided (hits are always real coverings); only completeness
-  // degrades on degenerate queries.
-  std::uint64_t max_cubes = std::uint64_t{1} << 16;
-  bool settle_on_budget = true;
-  // Hot/cold tiering of the dominance array (see
-  // dominance_options::tier_hot_capacity): 0 = classic resident array (the
-  // default, byte-for-byte today's behavior); > 0 = keep at most this many
-  // recently inserted / recently hit entries in the probe-ready hot
-  // backend and the rest delta/varint-compressed. Detection results and
-  // logical query_stats are identical either way.
-  std::size_t tier_hot_capacity = 0;
-  std::size_t tier_block_entries = 64;
-  // Compaction threshold for deferred erase in the dominance array (see
-  // dominance_options::compact_live_fraction): 1.0 = eager per-erase
-  // compaction (the naive churn baseline), 0.0 = never. Detection results
-  // and logical query_stats are identical for every setting.
-  double compact_live_fraction = 0.5;
+// The dominance index's options with two production defaults of their own.
+// Covering queries for subscriptions with wildcard or open-ended
+// constraints produce degenerate (unit-thickness, huge-aspect-ratio)
+// dominance regions — the paper's "M x 1" worst case — whose full
+// decomposition is astronomically large. Covering detection is therefore
+// best-effort within a smaller cube budget: the search probes the largest
+// cubes it could enumerate and reports budget_exhausted in the stats.
+// Detection stays one-sided (hits are always real coverings); only
+// completeness degrades on degenerate queries. The key width `automatic`
+// picks for the 2*beta-dimensional dominance universe fits most schemas in
+// 128 bits (util/key_traits.h).
+struct sfc_covering_options : dominance_options {
+  sfc_covering_options() {
+    max_cubes = std::uint64_t{1} << 16;
+    settle_on_budget = true;
+  }
 };
 
 class sfc_covering_index final : public covering_index {
@@ -92,7 +65,6 @@ class sfc_covering_index final : public covering_index {
   [[nodiscard]] const dominance_index& index() const { return index_; }
 
  private:
-  sfc_covering_options options_;
   dominance_index index_;
   std::map<sub_id, subscription> subs_;  // for verification and erase
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -164,8 +165,8 @@ dominance_index::dominance_index(const universe& u, dominance_options options)
       options_(options),
       width_(options.width == key_width::automatic ? select_key_width(u.key_bits())
                                                    : options.width) {
-  if (options_.head_probe < 1)
-    throw std::invalid_argument("dominance_index: head_probe must be >= 1");
+  if (options_.max_cubes > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("dominance_index: max_cubes must be <= UINT32_MAX");
   switch (width_) {
     case key_width::w64:
       engine_.emplace<engine<std::uint64_t>>(

@@ -50,7 +50,6 @@
 #include "sfc/curve.h"
 #include "sfcarray/sfc_array.h"
 #include "util/key_traits.h"
-#include "util/simd.h"
 
 namespace subcover {
 
@@ -62,40 +61,6 @@ struct dominance_options {
   // valid (tests force u512 to cross-check the narrow paths), forcing a
   // narrower one than the universe needs throws at construction.
   key_width width = key_width::automatic;
-  // Coalesce adjacent cube ranges into runs before probing (Lemma 3.1 makes
-  // runs <= cubes; disabling probes raw cubes, matching the paper's
-  // cube-count analysis exactly).
-  bool merge_runs = true;
-  // Probe each level's run frontier with one batched probe_frontier sweep
-  // over the SFC array (resumed searches, sfcarray/sfc_array.h) instead of
-  // one independent first_in per run. Results and every pre-existing
-  // query_stats field are byte-identical either way; only the physical
-  // probe-work counters (frontier_batches / probes_restarted /
-  // probes_resumed) differ. Effective only with merge_runs (the sweep needs
-  // the key-sorted merged frontier); disable to force the single-range
-  // reference path, the equivalence oracle in tests.
-  bool batched_probe = true;
-  // How many of a level's top-volume runs are probed individually (one
-  // fresh first_in descent each) before the batched frontier sweep engages
-  // for the remainder. 1 (the pinned default) probes rank 0 alone — found
-  // by one O(m) scan, no sort — and only a miss engages the ordering +
-  // sweep machinery. Values > 1 force a fixed deeper head. Results and all
-  // logical query_stats are identical for every setting (the probe order
-  // never changes); only the physical restart/resume split varies. Applies
-  // to both batched paths (merged runs, and the cube-count path when
-  // merge_runs is false); ignored on the single-range reference path.
-  // Values < 1 throw std::invalid_argument at construction.
-  int head_probe = 1;
-  // How the query plan runs its level-frontier kernels (util/simd.h):
-  // `automatic` (the default) uses the runtime-dispatched scalar/SSE4.2/AVX2
-  // ladder of util/simd_kernels.h, `force_scalar` pins those call sites to
-  // the kernel library's scalar backend, `off` bypasses the kernel library
-  // and runs the plan's plain-loop reference implementations. Results, stop
-  // decisions and every logical query_stats field are identical for all
-  // three settings at every key width; only speed moves. The shared arrays
-  // follow the process-wide dispatch (SUBCOVER_FORCE_SCALAR), not this
-  // per-index policy.
-  simd_mode simd = simd_mode::automatic;
   // Safety valve: queries whose decomposition exceeds this many cubes either
   // throw std::length_error (settle_on_budget == false) or stop enumerating
   // and probe the partial plan collected so far (settle_on_budget == true).
@@ -105,7 +70,9 @@ struct dominance_options {
   // degenerate case) decompose into per-cell runs, so an unbounded search is
   // not viable in production. Settling keeps the one-sided error guarantee:
   // the partial plan holds the largest cubes, so coverage degrades
-  // gracefully and hits are still always true.
+  // gracefully and hits are still always true. Values above UINT32_MAX throw
+  // std::invalid_argument at construction (the plan ranks a level's runs in
+  // 32-bit lanes, and a level never holds more runs than this budget).
   std::uint64_t max_cubes = std::uint64_t{1} << 24;
   bool settle_on_budget = false;
   // Hot/cold tiering (sfcarray/tiered_sfc_array.h). 0 (the default) keeps

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -51,24 +50,10 @@ struct sweep_sink final : basic_sfc_array<K>::frontier_sink {
   }
 };
 
-// The probe order within a level: larger runs first, ties by ascending key.
-// This single definition is what "byte-identical" means for the batched and
-// single-range paths — the AoS sort (reference path), the rank sort over
-// the extent/lo columns and the head scan must all agree on it. Extents are
-// compared via hi - lo: identical ordering to cell_count() without the +1's
-// wrap at the full range.
-template <class K>
-bool probes_before(const basic_key_range<K>& a, const basic_key_range<K>& b) {
-  const K ca = a.hi - a.lo;
-  const K cb = b.hi - b.lo;
-  if (ca != cb) return cb < ca;
-  return a.lo < b.lo;
-}
-
 // --- plain-loop frontier primitives -----------------------------------------
-// The simd_mode::off oracle, and the only implementation at the wide key
-// widths (the vector kernels are u64-lane). Each mirrors the semantics of
-// the same-named kernel in util/simd_kernels.h exactly.
+// The implementation at the wide key widths (the vector kernels are
+// u64-lane). Each mirrors the semantics of the same-named kernel in
+// util/simd_kernels.h exactly.
 
 // Coalesces sorted, distinct, cube-aligned lows (cube span `cube_cells`)
 // into maximal runs; equal-size aligned cubes chain exactly when
@@ -93,8 +78,8 @@ std::size_t coalesce_cubes_plain(const K* lo, std::size_t n, const K& cube_cells
   return out + 1;
 }
 
-// Argbest under probes_before over the extent/lo columns: largest extent,
-// ties by smallest lo, further ties by first index. Requires n > 0.
+// Argbest in probe order over the extent/lo columns: largest extent, ties
+// by smallest lo, further ties by first index. Requires n > 0.
 template <class K>
 std::size_t head_scan_plain(const K* ext, const K* lo, std::size_t n) {
   std::size_t best = 0;
@@ -189,80 +174,6 @@ const K* merge_segments(std::vector<K>& col, std::vector<K>& tmp,
   return src;
 }
 
-// Right-to-left running minimum with the head-rank floor mask.
-void suffix_min_plain(const std::uint32_t* rank, std::size_t n, std::uint32_t floor,
-                      std::uint32_t* out) {
-  std::uint32_t min_rank = std::numeric_limits<std::uint32_t>::max();
-  for (std::size_t p = n; p-- > 0;) {
-    const std::uint32_t rk = rank[p];
-    if (rk >= floor) min_rank = std::min(min_rank, rk);
-    out[p] = min_rank;
-  }
-}
-
-// --- simd_mode three-way dispatch (u64 lanes) -------------------------------
-// automatic -> the runtime-dispatched tier, force_scalar -> the kernel
-// library's scalar backend through the same call sites, off -> the plain
-// loops above (no kernel-library call at all).
-
-std::size_t coalesce_cubes_mode(simd_mode mode, const std::uint64_t* lo, std::size_t n,
-                                std::uint64_t cube_cells, std::uint64_t* run_lo,
-                                std::uint64_t* run_hi) {
-  switch (mode) {
-    case simd_mode::automatic:
-      return simd::coalesce_cubes_u64(lo, n, cube_cells, run_lo, run_hi);
-    case simd_mode::force_scalar:
-      return simd::scalar::coalesce_cubes_u64(lo, n, cube_cells, run_lo, run_hi);
-    case simd_mode::off:
-      break;
-  }
-  return coalesce_cubes_plain<std::uint64_t>(lo, n, cube_cells, run_lo, run_hi);
-}
-
-void sub_mode(simd_mode mode, const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
-              std::size_t n) {
-  switch (mode) {
-    case simd_mode::automatic:
-      simd::sub_u64(a, b, out, n);
-      return;
-    case simd_mode::force_scalar:
-      simd::scalar::sub_u64(a, b, out, n);
-      return;
-    case simd_mode::off:
-      break;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-std::size_t head_scan_mode(simd_mode mode, const std::uint64_t* ext, const std::uint64_t* lo,
-                           std::size_t n) {
-  switch (mode) {
-    case simd_mode::automatic:
-      return simd::head_rank_scan_u64(ext, lo, n);
-    case simd_mode::force_scalar:
-      return simd::scalar::head_rank_scan_u64(ext, lo, n);
-    case simd_mode::off:
-      break;
-  }
-  return head_scan_plain<std::uint64_t>(ext, lo, n);
-}
-
-// u32 ranks are width-independent, so this one serves every key width.
-void suffix_min_mode(simd_mode mode, const std::uint32_t* rank, std::size_t n,
-                     std::uint32_t floor, std::uint32_t* out) {
-  switch (mode) {
-    case simd_mode::automatic:
-      simd::suffix_min_masked_u32(rank, n, floor, out);
-      return;
-    case simd_mode::force_scalar:
-      simd::scalar::suffix_min_masked_u32(rank, n, floor, out);
-      return;
-    case simd_mode::off:
-      break;
-  }
-  suffix_min_plain(rank, n, floor, out);
-}
-
 }  // namespace
 
 query_plan::query_plan(const dominance_index& index) : index_(&index) {
@@ -298,8 +209,6 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
   if (!x.inside(u))
     throw std::invalid_argument("dominance_index::query: point outside universe");
   const stopwatch timer;
-  const simd_mode mode = opts.simd;
-  const auto head_depth = static_cast<std::size_t>(opts.head_probe);
 
   const extremal_rect full = extremal_rect::query_region(u, x);
   const long double vol_full = full.volume_ld();
@@ -347,17 +256,16 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
   // per query rather than once per occupied level. Only the cube's low key
   // is stored — every cube of level i spans the same extent, derived in
   // bulk after enumeration.
-  // In merge mode the XOR-linear curves (Z, Gray) emit each rectangle as
-  // key-ascending segments, whose starts land in segment_starts_, so
-  // ordering the level is a merge rather than a sort.
+  // The XOR-linear curves (Z, Gray) emit each rectangle as key-ascending
+  // segments, whose starts land in segment_starts_, so ordering the level
+  // is a merge rather than a sort.
   std::uint64_t needed = 0;
   std::uint64_t taken = 0;
   auto sink = [&](const K& lo) {
     ts.lo_col.push_back(lo);
     return ++taken < needed;
   };
-  detail::lo_emitter<K, decltype(sink)> ranges(*ts.curve, 0, sink,
-                                               opts.merge_runs ? &segment_starts_ : nullptr);
+  detail::lo_emitter<K, decltype(sink)> ranges(*ts.curve, 0, sink, segment_starts_);
   for (int i = u.bits(); i >= 0 && !done; --i) {
     const u512& count = level_counts_[static_cast<std::size_t>(i)];
     if (count.is_zero()) continue;
@@ -406,47 +314,40 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
     if (cube_count == 0) continue;
     const K level_mask = ranges.level_mask();  // hi == lo | level_mask at this level
 
-    std::size_t run_count;
-    if (opts.merge_runs) {
-      // Coalesce on the key column: order the lows, then chain cubes that
-      // sit exactly one cube span apart — byte-identical to
-      // merge_ranges_inplace on the materialized ranges (equal-size aligned
-      // cubes can never overlap or be closer than one span). Segmented
-      // levels merge their sorted segments; Hilbert's lows come in
-      // counting order and are sorted (radix at u64). The lows of a level
-      // are distinct, so either order is std::sort's.
-      const K* sorted = ts.lo_col.data();
-      if (ranges.segmented()) {
-        sorted = merge_segments(ts.lo_col, ts.lo_merge, segment_starts_);
-      } else if constexpr (std::is_same_v<K, std::uint64_t>) {
-        radix::sort_u64(ts.lo_col.data(), cube_count, ts.lo_merge);
-      } else {
-        std::sort(ts.lo_col.begin(), ts.lo_col.end());
-      }
-      ts.run_lo.resize(cube_count);
-      ts.run_hi.resize(cube_count);
-      if (cube_count == 1) {
-        // Also the only case where the cube span could wrap the key width
-        // (the whole-universe cube at d*k bits).
-        ts.run_lo[0] = sorted[0];
-        ts.run_hi[0] = sorted[0] | level_mask;
-        run_count = 1;
-      } else if constexpr (std::is_same_v<K, std::uint64_t>) {
-        run_count = coalesce_cubes_mode(mode, sorted, cube_count, level_mask + 1,
-                                        ts.run_lo.data(), ts.run_hi.data());
-      } else {
-        run_count = coalesce_cubes_plain<K>(sorted, cube_count,
-                                            level_mask + key_traits<K>::one(),
-                                            ts.run_lo.data(), ts.run_hi.data());
-      }
+    // Coalesce on the key column: order the lows, then chain cubes that sit
+    // exactly one cube span apart — byte-identical to merge_ranges_inplace
+    // on the materialized ranges (equal-size aligned cubes can never overlap
+    // or be closer than one span). Segmented levels merge their sorted
+    // segments; Hilbert's lows come in counting order and are sorted (radix
+    // at u64). The lows of a level are distinct, so either order is
+    // std::sort's.
+    const K* sorted = ts.lo_col.data();
+    if (ranges.segmented()) {
+      sorted = merge_segments(ts.lo_col, ts.lo_merge, segment_starts_);
+    } else if constexpr (std::is_same_v<K, std::uint64_t>) {
+      radix::sort_u64(ts.lo_col.data(), cube_count, ts.lo_merge);
     } else {
-      // Without merging, all runs of a level are equal-volume cubes left in
-      // enumeration order — nothing to coalesce or reorder.
-      run_count = cube_count;
+      std::sort(ts.lo_col.begin(), ts.lo_col.end());
+    }
+    ts.run_lo.resize(cube_count);
+    ts.run_hi.resize(cube_count);
+    std::size_t run_count;
+    if (cube_count == 1) {
+      // Also the only case where the cube span could wrap the key width
+      // (the whole-universe cube at d*k bits).
+      ts.run_lo[0] = sorted[0];
+      ts.run_hi[0] = sorted[0] | level_mask;
+      run_count = 1;
+    } else if constexpr (std::is_same_v<K, std::uint64_t>) {
+      run_count = simd::coalesce_cubes_u64(sorted, cube_count, level_mask + 1, ts.run_lo.data(),
+                                           ts.run_hi.data());
+    } else {
+      run_count = coalesce_cubes_plain<K>(sorted, cube_count, level_mask + key_traits<K>::one(),
+                                          ts.run_lo.data(), ts.run_hi.data());
     }
     st.runs_in_plan += run_count;
 
-    // Volume of one run / one cube, exactly range.cell_count_ld().
+    // Volume of one run, exactly range.cell_count_ld().
     const auto run_cells_ld = [&ts](std::size_t p) {
       return key_traits<K>::to_long_double(ts.run_ext[p]) + 1.0L;
     };
@@ -456,341 +357,136 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       r.hi = ts.run_hi[p];
       return r;
     };
-    const auto cube_at = [&ts, level_mask](std::size_t p) {
-      basic_key_range<K> r;
-      r.lo = ts.lo_col[p];
-      r.hi = r.lo | level_mask;
-      return r;
-    };
-
-    if (opts.merge_runs && opts.batched_probe && run_count > 0 &&
-        run_count <= std::numeric_limits<std::uint32_t>::max()) {
-      // --- head probe + batched frontier sweep (see query_plan.h) ----------
-      // The single-range path probes rank 0 — the first run in probe order
-      // (probes_before) — before anything else, and on hit-dense workloads
-      // that one probe usually decides the level. head_probe generalizes
-      // the idea: probe the top `head_count` volume ranks individually
-      // (fresh descents, in rank order) and only engage the sweep for the
-      // ranks behind them. head_count == 1 — the pinned default — finds
-      // rank 0 with one O(run_count) scan and only a miss orders the
-      // frontier at all; a deeper fixed head orders up front, betting that
-      // hits land past rank 0 often enough to repay it.
-      const std::size_t head_count = std::min(head_depth, run_count);
-      // Extent lanes: the volume key of every ordering and accumulation
-      // below.
-      ts.run_ext.resize(run_count);
-      if constexpr (std::is_same_v<K, std::uint64_t>) {
-        sub_mode(mode, ts.run_hi.data(), ts.run_lo.data(), ts.run_ext.data(), run_count);
-      } else {
-        for (std::size_t p = 0; p < run_count; ++p) ts.run_ext[p] = ts.run_hi[p] - ts.run_lo[p];
-      }
-      bool ordered = false;  // replay_order_ valid for this level
-      // The probe order of the single-range path (probes_before) as a rank
-      // -> position map over the merged frontier, sorted on the extent/lo
-      // columns. One definition shared by the head probes and the sweep
-      // replay, so they cannot diverge. probes_before's lo tie-break is
-      // well-defined here: merged ranges have distinct lows. The run columns
-      // are key-ascending, so at u64 a stable descending radix argsort on
-      // the extents alone yields exactly the (extent desc, lo asc) order.
-      const auto ensure_replay_order = [&] {
-        if (ordered) return;
-        if constexpr (std::is_same_v<K, std::uint64_t>) {
-          radix::argsort_u64(ts.run_ext.data(), run_count, radix::direction::descending,
-                             replay_order_, order_scratch_);
-        } else {
-          replay_order_.resize(run_count);
-          std::iota(replay_order_.begin(), replay_order_.end(), 0U);
-          std::sort(replay_order_.begin(), replay_order_.end(),
-                    [&ext = ts.run_ext, &lo = ts.run_lo](std::uint32_t a, std::uint32_t b) {
-                      if (ext[a] != ext[b]) return ext[b] < ext[a];
-                      return lo[a] < lo[b];
-                    });
-        }
-        ordered = true;
-      };
-      // Probing of this level ended (hit or coverage reached). Distinct
-      // from `done`, which the planning step above also sets when the
-      // coverage target falls inside this level — such a level must still
-      // be probed.
-      bool level_stop = false;
-      if (head_count == 1) {
-        std::size_t head;
-        if constexpr (std::is_same_v<K, std::uint64_t>) {
-          head = head_scan_mode(mode, ts.run_ext.data(), ts.run_lo.data(), run_count);
-        } else {
-          head = head_scan_plain<K>(ts.run_ext.data(), ts.run_lo.data(), run_count);
-        }
-        ++st.runs_probed;
-        ++st.probes_restarted;
-        const auto head_hit = ts.array->first_in(run_at(head), &ts.hint);
-        searched += run_cells_ld(head);
-        if (head_hit.has_value()) {
-          result = head_hit->id;
-          st.found = true;
-          done = true;
-          level_stop = true;
-        } else if (epsilon > 0 && searched >= coverage_target) {
-          done = true;
-          level_stop = true;
-        }
-      } else {
-        // The merged frontier stays key-ascending; rank the runs once and
-        // probe the head prefix in rank order, exactly the sequence the
-        // single-range path would execute.
-        ensure_replay_order();
-        for (std::size_t j = 0; j < head_count && !level_stop; ++j) {
-          ++st.runs_probed;
-          ++st.probes_restarted;
-          const auto hit = ts.array->first_in(run_at(replay_order_[j]), &ts.hint);
-          searched += run_cells_ld(replay_order_[j]);
-          if (hit.has_value()) {
-            result = hit->id;
-            st.found = true;
-            done = true;
-            level_stop = true;
-          } else if (epsilon > 0 && searched >= coverage_target) {
-            done = true;
-            level_stop = true;
-          }
-        }
-      }
-      if (!level_stop && run_count > head_count) {
-        ensure_replay_order();
-        // With epsilon > 0 the coverage stop point depends only on run
-        // volumes: rerun the accumulation (same long-double order the probe
-        // loop would use, continuing after the head's contribution) to find
-        // how many ranks the replay can possibly visit, and never probe
-        // past them.
-        std::size_t probe_count = run_count;
-        if (epsilon > 0) {
-          long double cum = searched;
-          for (std::size_t j = head_count; j < run_count; ++j) {
-            cum += run_cells_ld(replay_order_[j]);
-            if (cum >= coverage_target) {
-              probe_count = j + 1;
-              break;
-            }
-          }
-        }
-        // Sweep list: the rank < probe_count subset in key-ascending order,
-        // each element carrying its rank. With no coverage cut (the common
-        // case, and always for epsilon == 0) that is the whole frontier —
-        // materialized straight off the run columns (re-answering the
-        // already-probed head ranks is harmless and cheaper than compacting
-        // them away); only a genuine cut compacts, dropping the head with
-        // the rest.
-        pos_rank_.resize(run_count);
-        for (std::size_t j = 0; j < run_count; ++j)
-          pos_rank_[replay_order_[j]] = static_cast<std::uint32_t>(j);
-        const std::uint32_t* sweep_rank = pos_rank_.data();
-        std::size_t pn = run_count;
-        if (probe_count < run_count) {
-          ts.probe_ranges.clear();
-          probe_rank_.clear();
-          for (std::size_t pos = 0; pos < run_count; ++pos) {
-            if (pos_rank_[pos] >= head_count && pos_rank_[pos] < probe_count) {
-              ts.probe_ranges.push_back(run_at(pos));
-              probe_rank_.push_back(pos_rank_[pos]);
-            }
-          }
-          sweep_rank = probe_rank_.data();
-          pn = ts.probe_ranges.size();
-        } else {
-          ts.probe_ranges.resize(run_count);
-          for (std::size_t pos = 0; pos < run_count; ++pos) ts.probe_ranges[pos] = run_at(pos);
-        }
-        // Suffix-min-rank table: the sink's oracle for stopping the sweep
-        // once no unprobed range can outrank the best hit. Head ranks are
-        // already answered (they all missed), so they must not hold the
-        // sweep open; the kernel's floor masks them to the weakest rank.
-        suffix_min_rank_.resize(pn);
-        suffix_min_mode(mode, sweep_rank, pn, static_cast<std::uint32_t>(head_count),
-                        suffix_min_rank_.data());
-        hit_found_.assign(probe_count, 0);
-        hit_id_.resize(probe_count);
-
-        sweep_sink<K> sink;
-        sink.rank = sweep_rank;
-        sink.suffix_min = suffix_min_rank_.data();
-        sink.n = pn;
-        sink.found = hit_found_.data();
-        sink.ids = hit_id_.data();
-        sink.best_rank = static_cast<std::uint32_t>(probe_count);
-        ts.array->probe_frontier(
-            std::span<const basic_key_range<K>>(ts.probe_ranges.data(), pn), sink);
-        ++st.frontier_batches;
-        if (sink.visited > 0) {
-          ++st.probes_restarted;
-          st.probes_resumed += sink.visited - 1;
-        }
-
-        // Volume-order replay of the recorded answers, continuing after the
-        // head: reproduces the single-range path's result, stop point and
-        // stats byte for byte — every rank below the first hit was swept
-        // (the early stop only fires once no unprobed range outranks the
-        // best hit) and recorded as a miss.
-        for (std::size_t j = head_count; j < probe_count; ++j) {
-          ++st.runs_probed;
-          searched += run_cells_ld(replay_order_[j]);
-          if (hit_found_[j] != 0) {
-            result = hit_id_[j];
-            st.found = true;
-            done = true;
-            break;
-          }
-          if (epsilon > 0 && searched >= coverage_target) {
-            done = true;
-            break;
-          }
-        }
-      }
-    } else if (!opts.merge_runs && opts.batched_probe && run_count > 0 &&
-               run_count <= std::numeric_limits<std::uint32_t>::max()) {
-      // --- cube-count mode, batched ----------------------------------------
-      // The reference probe order here is enumeration order (all cubes of a
-      // level have equal volume, so the replay rank IS the enumeration
-      // position — no volume sort exists to disagree with). Probe the first
-      // head_count cubes individually, then answer the rest with one
-      // key-sorted frontier sweep and replay in enumeration order. Logical
-      // stats are byte-identical to the per-cube reference path; only the
-      // physical restart/resume split moves.
-      const std::size_t head_count = std::min(head_depth, run_count);
-      const long double cube_ld = key_traits<K>::to_long_double(level_mask) + 1.0L;
-      bool level_stop = false;
-      for (std::size_t j = 0; j < head_count && !level_stop; ++j) {
-        ++st.runs_probed;
-        ++st.probes_restarted;
-        const auto hit = ts.array->first_in(cube_at(j), &ts.hint);
-        searched += cube_ld;
-        if (hit.has_value()) {
-          result = hit->id;
-          st.found = true;
-          done = true;
-          level_stop = true;
-        } else if (epsilon > 0 && searched >= coverage_target) {
-          done = true;
-          level_stop = true;
-        }
-      }
-      if (!level_stop && run_count > head_count) {
-        // Equal volumes make the coverage cut a pure count, but the replay
-        // must accumulate the same long-double sequence the reference path
-        // does, so the cut reruns it term by term.
-        std::size_t probe_count = run_count;
-        if (epsilon > 0) {
-          long double cum = searched;
-          for (std::size_t j = head_count; j < run_count; ++j) {
-            cum += cube_ld;
-            if (cum >= coverage_target) {
-              probe_count = j + 1;
-              break;
-            }
-          }
-        }
-        // Sweep list: enumeration positions [head_count, probe_count)
-        // sorted into key order (cubes are disjoint with distinct lows, so
-        // the order is strict), each carrying its enumeration rank.
-        const std::size_t pn = probe_count - head_count;
-        if constexpr (std::is_same_v<K, std::uint64_t>) {
-          radix::argsort_u64(ts.lo_col.data() + head_count, pn, radix::direction::ascending,
-                             replay_order_, order_scratch_);
-          for (auto& pos : replay_order_) pos += static_cast<std::uint32_t>(head_count);
-        } else {
-          replay_order_.resize(pn);
-          std::iota(replay_order_.begin(), replay_order_.end(),
-                    static_cast<std::uint32_t>(head_count));
-          std::sort(replay_order_.begin(), replay_order_.end(),
-                    [&lo = ts.lo_col](std::uint32_t a, std::uint32_t b) { return lo[a] < lo[b]; });
-        }
-        ts.probe_ranges.resize(pn);
-        probe_rank_.resize(pn);
-        for (std::size_t s = 0; s < pn; ++s) {
-          ts.probe_ranges[s] = cube_at(replay_order_[s]);
-          probe_rank_[s] = replay_order_[s];
-        }
-        suffix_min_rank_.resize(pn);
-        suffix_min_mode(mode, probe_rank_.data(), pn, static_cast<std::uint32_t>(head_count),
-                        suffix_min_rank_.data());
-        hit_found_.assign(probe_count, 0);
-        hit_id_.resize(probe_count);
-
-        sweep_sink<K> sink;
-        sink.rank = probe_rank_.data();
-        sink.suffix_min = suffix_min_rank_.data();
-        sink.n = pn;
-        sink.found = hit_found_.data();
-        sink.ids = hit_id_.data();
-        sink.best_rank = static_cast<std::uint32_t>(probe_count);
-        ts.array->probe_frontier(
-            std::span<const basic_key_range<K>>(ts.probe_ranges.data(), pn), sink);
-        ++st.frontier_batches;
-        if (sink.visited > 0) {
-          ++st.probes_restarted;
-          st.probes_resumed += sink.visited - 1;
-        }
-
-        for (std::size_t j = head_count; j < probe_count; ++j) {
-          ++st.runs_probed;
-          searched += cube_ld;
-          if (hit_found_[j] != 0) {
-            result = hit_id_[j];
-            st.found = true;
-            done = true;
-            break;
-          }
-          if (epsilon > 0 && searched >= coverage_target) {
-            done = true;
-            break;
-          }
-        }
-      }
+    // Extent lanes: the volume key of every ordering and accumulation below.
+    ts.run_ext.resize(run_count);
+    if constexpr (std::is_same_v<K, std::uint64_t>) {
+      simd::sub_u64(ts.run_hi.data(), ts.run_lo.data(), ts.run_ext.data(), run_count);
     } else {
-      // --- single-range reference path -------------------------------------
-      // One independent first_in per run (with the probe-locality cursor);
-      // the ground truth the batched sweeps are pinned against in tests.
-      if (opts.merge_runs) {
-        // Within the level, probe in probes_before order (larger merged
-        // runs first, ties by ascending key), which makes the probe
-        // sequence deterministic and friendly to the array's locality
-        // cursor.
-        ts.probe_ranges.resize(run_count);
-        for (std::size_t p = 0; p < run_count; ++p) ts.probe_ranges[p] = run_at(p);
-        std::sort(ts.probe_ranges.begin(), ts.probe_ranges.end(), probes_before<K>);
-        for (const basic_key_range<K>& run : ts.probe_ranges) {
-          ++st.runs_probed;
-          ++st.probes_restarted;
-          const auto hit = ts.array->first_in(run, &ts.hint);
-          searched += run.cell_count_ld();
-          if (hit.has_value()) {
-            result = hit->id;
-            st.found = true;
-            done = true;
-            break;
-          }
-          if (epsilon > 0 && searched >= coverage_target) {
-            done = true;
-            break;
-          }
+      for (std::size_t p = 0; p < run_count; ++p) ts.run_ext[p] = ts.run_hi[p] - ts.run_lo[p];
+    }
+
+    // --- head probe (see query_plan.h) -----------------------------------
+    // Rank 0 — the largest run, ties by ascending key — usually decides the
+    // level on hit-dense workloads: one O(run_count) scan finds it, it is
+    // probed alone, and only a miss orders the frontier at all.
+    std::size_t head;
+    if constexpr (std::is_same_v<K, std::uint64_t>) {
+      head = simd::head_rank_scan_u64(ts.run_ext.data(), ts.run_lo.data(), run_count);
+    } else {
+      head = head_scan_plain<K>(ts.run_ext.data(), ts.run_lo.data(), run_count);
+    }
+    ++st.runs_probed;
+    ++st.probes_restarted;
+    const auto head_hit = ts.array->first_in(run_at(head), &ts.hint);
+    searched += run_cells_ld(head);
+    if (head_hit.has_value()) {
+      result = head_hit->id;
+      st.found = true;
+      break;
+    }
+    if (epsilon > 0 && searched >= coverage_target) break;
+    if (run_count == 1) continue;
+
+    // --- batched frontier sweep over ranks 1.. ----------------------------
+    // The probe order (largest run first, ties by ascending lo) as a rank
+    // -> position map over the merged frontier. The lo tie-break is
+    // well-defined: merged ranges have distinct lows. The run columns are
+    // key-ascending, so at u64 a stable descending radix argsort on the
+    // extents alone yields exactly the (extent desc, lo asc) order.
+    if constexpr (std::is_same_v<K, std::uint64_t>) {
+      radix::argsort_u64(ts.run_ext.data(), run_count, radix::direction::descending,
+                         replay_order_, order_scratch_);
+    } else {
+      replay_order_.resize(run_count);
+      std::iota(replay_order_.begin(), replay_order_.end(), 0U);
+      std::sort(replay_order_.begin(), replay_order_.end(),
+                [&ext = ts.run_ext, &lo = ts.run_lo](std::uint32_t a, std::uint32_t b) {
+                  if (ext[a] != ext[b]) return ext[b] < ext[a];
+                  return lo[a] < lo[b];
+                });
+    }
+    // With epsilon > 0 the coverage stop point depends only on run volumes:
+    // rerun the accumulation (same long-double order the replay uses,
+    // continuing after the head's contribution) to find how many ranks the
+    // replay can possibly visit, and never probe past them.
+    std::size_t probe_count = run_count;
+    if (epsilon > 0) {
+      long double cum = searched;
+      for (std::size_t j = 1; j < run_count; ++j) {
+        cum += run_cells_ld(replay_order_[j]);
+        if (cum >= coverage_target) {
+          probe_count = j + 1;
+          break;
         }
-      } else {
-        // Cube-count mode: probe the raw cubes in enumeration order.
-        for (std::size_t p = 0; p < run_count; ++p) {
-          const basic_key_range<K> run = cube_at(p);
-          ++st.runs_probed;
-          ++st.probes_restarted;
-          const auto hit = ts.array->first_in(run, &ts.hint);
-          searched += run.cell_count_ld();
-          if (hit.has_value()) {
-            result = hit->id;
-            st.found = true;
-            done = true;
-            break;
-          }
-          if (epsilon > 0 && searched >= coverage_target) {
-            done = true;
-            break;
-          }
+      }
+    }
+    // Sweep list: the rank < probe_count subset in key-ascending order, each
+    // element carrying its rank. With no coverage cut (the common case, and
+    // always for epsilon == 0) that is the whole frontier — materialized
+    // straight off the run columns (re-answering the already-probed head is
+    // harmless and cheaper than compacting it away); only a genuine cut
+    // compacts, dropping the head with the rest.
+    pos_rank_.resize(run_count);
+    for (std::size_t j = 0; j < run_count; ++j)
+      pos_rank_[replay_order_[j]] = static_cast<std::uint32_t>(j);
+    const std::uint32_t* sweep_rank = pos_rank_.data();
+    std::size_t pn = run_count;
+    if (probe_count < run_count) {
+      ts.probe_ranges.clear();
+      probe_rank_.clear();
+      for (std::size_t pos = 0; pos < run_count; ++pos) {
+        if (pos_rank_[pos] >= 1 && pos_rank_[pos] < probe_count) {
+          ts.probe_ranges.push_back(run_at(pos));
+          probe_rank_.push_back(pos_rank_[pos]);
         }
+      }
+      sweep_rank = probe_rank_.data();
+      pn = ts.probe_ranges.size();
+    } else {
+      ts.probe_ranges.resize(run_count);
+      for (std::size_t pos = 0; pos < run_count; ++pos) ts.probe_ranges[pos] = run_at(pos);
+    }
+    // Suffix-min-rank table: the sink's oracle for stopping the sweep once
+    // no unprobed range can outrank the best hit. The head is already
+    // answered (it missed), so it must not hold the sweep open; the
+    // kernel's floor of 1 masks it to the weakest rank.
+    suffix_min_rank_.resize(pn);
+    simd::suffix_min_masked_u32(sweep_rank, pn, 1, suffix_min_rank_.data());
+    hit_found_.assign(probe_count, 0);
+    hit_id_.resize(probe_count);
+
+    sweep_sink<K> sweep;
+    sweep.rank = sweep_rank;
+    sweep.suffix_min = suffix_min_rank_.data();
+    sweep.n = pn;
+    sweep.found = hit_found_.data();
+    sweep.ids = hit_id_.data();
+    sweep.best_rank = static_cast<std::uint32_t>(probe_count);
+    ts.array->probe_frontier(std::span<const basic_key_range<K>>(ts.probe_ranges.data(), pn),
+                             sweep);
+    ++st.frontier_batches;
+    if (sweep.visited > 0) {
+      ++st.probes_restarted;
+      st.probes_resumed += sweep.visited - 1;
+    }
+
+    // Volume-order replay of the recorded answers, continuing after the
+    // head: every rank below the first hit was swept (the early stop only
+    // fires once no unprobed range outranks the best hit) and recorded as a
+    // miss, so the result, stop point and logical stats are those of
+    // probing the runs one by one in rank order.
+    for (std::size_t j = 1; j < probe_count; ++j) {
+      ++st.runs_probed;
+      searched += run_cells_ld(replay_order_[j]);
+      if (hit_found_[j] != 0) {
+        result = hit_id_[j];
+        st.found = true;
+        done = true;
+        break;
+      }
+      if (epsilon > 0 && searched >= coverage_target) {
+        done = true;
+        break;
       }
     }
   }

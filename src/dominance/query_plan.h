@@ -30,14 +30,12 @@
 // columns — cube coalescing, extent subtraction, the head-probe argbest
 // scan, the sweep's suffix-min-rank table — runs through the
 // runtime-dispatched vector kernels of util/simd_kernels.h (scalar /
-// SSE4.2 / AVX2, picked once per process via util/cpu_features.h).
-// dominance_options::simd selects the policy per index: `automatic` uses
-// the dispatched kernels, `force_scalar` pins the same call sites to the
-// kernel library's scalar backend, and `off` runs the plan's own
-// plain-loop implementations — the oracle the other two are pinned
-// byte-identical against (tests/dominance/simd_equivalence_test.cc).
-// Results, stop decisions and all logical query_stats are identical for
-// every setting at every key width; only speed moves.
+// SSE4.2 / AVX2, picked once per process via util/cpu_features.h; the
+// SUBCOVER_FORCE_SCALAR environment variable pins the scalar backend).
+// The wider widths run plain loops with the same semantics; the
+// width-equivalence suite pins the two against each other. Results, stop
+// decisions and all query_stats are identical at every key width and
+// every dispatch tier; only speed moves.
 //
 // Linear-time frontier ordering: putting a level in order — the cube
 // lows, then the runs by volume — once cost a batched covering check more
@@ -55,33 +53,28 @@
 // merge and sort both yield std::sort's order exactly. The replay order is
 // a stable descending counting sort on the run extents (hi - lo, i.e. run
 // length in cubes, scaled): the run columns are already key-ascending, so
-// stability reproduces probes_before's ascending-lo tie-break exactly;
+// stability reproduces the ascending-lo tie-break exactly;
 // wider keys keep std::sort there, and the width-equivalence suites
 // cross-check the two. No option selects between these orderings, so
 // results and stats are byte-identical to the comparison-sorted plan by
 // construction.
 //
-// Batched frontier probing (the default, dominance_options::batched_probe):
-// instead of one independent first_in per run — each a fresh O(log n)
-// descent of the SFC array — the plan hands the whole merged, key-ascending
-// level frontier to basic_sfc_array::probe_frontier, which answers it in
-// one resumed sweep (galloping cursor on the sorted vector, per-level
-// fingers on the skip list). Volume-descending semantics are preserved
-// exactly by separating the *sweep order* (key-ascending, what the array
-// wants) from the *replay order* (volume-descending, what the search
-// semantics demand): the plan records each range's probe answer during the
-// sweep, then replays the answers in volume order, reproducing the
-// single-range path's result, stop point and every pre-existing
-// query_stats field byte for byte. Rank 0 — the run the single-range path
-// probes first, which on hit-dense workloads usually decides the level —
-// is found with one O(m) scan and probed alone before any ordering work;
-// only a miss engages the sort + sweep machinery for the remaining ranks.
-// dominance_options::head_probe generalizes that head: a fixed depth h >= 1
-// probes the top-h volume ranks individually (fresh descents, in rank
-// order) before the sweep answers the rest. The pinned default h = 1 keeps
-// the scan-only fast path; results and every logical query_stats field are
-// identical at every depth (the probe order never changes — only the
-// restart/resume split of the physical counters moves).
+// Batched frontier probing: instead of one independent first_in per run —
+// each a fresh O(log n) descent of the SFC array — the plan hands the
+// whole merged, key-ascending level frontier to
+// basic_sfc_array::probe_frontier, which answers it in one resumed sweep
+// (galloping cursor on the sorted vector, per-level fingers on the skip
+// list). Volume-descending semantics are preserved exactly by separating
+// the *sweep order* (key-ascending, what the array wants) from the *replay
+// order* (volume-descending, what the search semantics demand): the plan
+// records each range's probe answer during the sweep, then replays the
+// answers in volume order, reproducing the result, stop point and every
+// logical query_stats field of probing the runs one at a time in volume
+// order (the test oracle tests/dominance/reference_query.h does exactly
+// that). Rank 0 — the run probed first, which on hit-dense workloads
+// usually decides the level — is found with one O(m) scan and probed alone
+// before any ordering work; only a miss engages the sort + sweep machinery
+// for the remaining ranks.
 // Two prunings keep the sweep from touching runs the replay can never
 // reach: (a) with epsilon > 0 the coverage stop point depends only on run
 // volumes, so the sweep is cut to the exact volume-order prefix the replay
@@ -91,13 +84,6 @@
 // per probe. The physical probe work is reported in the frontier_batches /
 // probes_restarted / probes_resumed stats; runs_probed stays the paper's
 // logical cost measure.
-//
-// Cube-count mode (merge_runs == false) batches too: the frontier is the
-// raw cube list in enumeration order — the probe order of the reference
-// path — so the plan probes the head cubes individually, sorts the
-// remaining cube lows into key order for one probe_frontier sweep, and
-// replays the answers in enumeration order. Same logical stats as the
-// per-cube reference path; only the physical restart/resume split moves.
 //
 // Key width: the plan binds to the index's internal width at construction
 // (util/key_traits.h) and keeps its level enumeration, run frontier, probe
@@ -202,8 +188,7 @@ class query_plan {
   std::vector<u512> level_counts_;  // Lemma 3.5 counts, reused per query
   // Batched-probe scratch (key-type independent, reused across queries):
   // replay_order_ maps volume-descending rank -> position in the run
-  // columns (in cube-count mode it doubles as the sweep's sorted position
-  // list); pos_rank_ is its inverse; probe_rank_ holds the rank of each
+  // columns; pos_rank_ is its inverse; probe_rank_ holds the rank of each
   // sweep-list element; suffix_min_rank_[i] = min rank among sweep elements
   // i..end (the sweep's early-stop oracle); hit_found_/hit_id_ record each
   // rank's probe answer for the replay.
@@ -214,7 +199,7 @@ class query_plan {
   std::vector<std::uint8_t> hit_found_;
   std::vector<std::uint64_t> hit_id_;
   // Level-relative starts of the key-ascending segments the emitter wrote
-  // into lo_col (segmented levels only).
+  // into lo_col (segmented levels only, i.e. the XOR-linear curves).
   std::vector<std::size_t> segment_starts_;
   // Radix-argsort scratch (u64 width only): the permutation buffer.
   std::vector<std::uint32_t> order_scratch_;

@@ -22,15 +22,14 @@ struct query_stats {
   // Runs actually probed before the query terminated (hit, coverage target
   // reached, or plan exhausted). This is the paper's cost measure and is
   // independent of how the probes are executed: the batched frontier sweep
-  // reports the same value as the single-range reference path.
+  // reports the same value as probing the runs one at a time.
   std::uint64_t runs_probed = 0;
   // --- physical probe-work accounting (how the probes were executed) ------
   // probe_frontier sweeps issued (at most one per occupied level).
   std::uint64_t frontier_batches = 0;
   // Probes that began a fresh search: each level's head probe (rank 0,
-  // probed alone before any batching), the first probe of every frontier
-  // sweep, and every probe on the single-range (batched_probe == false)
-  // path. Each costs a full O(log n) descent of the SFC array.
+  // probed alone before any batching) and the first probe of every frontier
+  // sweep. Each costs a full O(log n) descent of the SFC array.
   std::uint64_t probes_restarted = 0;
   // Probes answered by resuming the previous probe's position inside a
   // frontier sweep (galloping cursor / skip-list fingers) — sublinear in

@@ -42,14 +42,14 @@
 //     least significant fastest).
 //
 // Sorted-segment contract (lo_emitter, the query planner's column sink):
-// given a segment list, on an XOR-linear curve it emits the same cube set
-// per rectangle — the first `count` cubes in counting order — but as
-// key-ascending segments, recording where each segment starts. A rectangle
-// is one segment; a rectangle cut by the budget or the visitor is
+// on an XOR-linear curve it emits the same cube set per rectangle — the
+// first `count` cubes in counting order — but as key-ascending segments,
+// recording where each segment starts in its segment list. A rectangle is
+// one segment; a rectangle cut by the budget or the visitor is
 // popcount(count) segments, one per aligned counting block. The planner
-// then merges the segments instead of sorting the level's lows. Without a
-// segment list, or on any other curve, lo_emitter keeps the Algorithm 1-3
-// order like range_emitter and cube_emitter. A visitor that stops inside a
+// then merges the segments instead of sorting the level's lows. On any
+// other curve lo_emitter keeps the Algorithm 1-3 order like range_emitter
+// and cube_emitter. A visitor that stops inside a
 // rectangle sees a counting-order prefix only in that order; in segments it
 // sees some subset of the rectangle (the planner stops exactly where the
 // walk's count ends, so it always takes the whole counting prefix).
@@ -509,17 +509,17 @@ class range_emitter {
 
 // Column view: the visitor receives only the cube's low key (a `const K&`),
 // the form query_plan's struct-of-arrays level frontier stores — the hi
-// column is never materialized during enumeration. Given a segment list on
-// an XOR-linear curve (segmented()), each rectangle arrives as
-// key-ascending segments (prefix_tracker::expand_sorted) and the position
-// of each segment's first cube, counted from the last set_level, is
-// appended to the list; otherwise cubes arrive in the Algorithm 1-3 order.
+// column is never materialized during enumeration. On an XOR-linear curve
+// (segmented()), each rectangle arrives as key-ascending segments
+// (prefix_tracker::expand_sorted) and the position of each segment's first
+// cube, counted from the last set_level, is appended to `segments`;
+// otherwise cubes arrive in the Algorithm 1-3 order and `segments` is left
+// alone.
 template <class K, class Visitor>
 class lo_emitter {
  public:
-  lo_emitter(const basic_curve<K>& c, int i, Visitor& visit,
-             std::vector<std::size_t>* segments = nullptr)
-      : tracker_(c, i), visit_(visit), segments_(segments) {}
+  lo_emitter(const basic_curve<K>& c, int i, Visitor& visit, std::vector<std::size_t>& segments)
+      : tracker_(c, i), visit_(visit), segments_(&segments) {}
 
   void set_level(int i) {
     tracker_.set_level(i);
@@ -529,7 +529,7 @@ class lo_emitter {
   [[nodiscard]] K level_mask() const { return tracker_.level_mask(); }
 
   // True iff the lows arrive as key-ascending segments.
-  [[nodiscard]] bool segmented() const { return segments_ != nullptr && tracker_.linear(); }
+  [[nodiscard]] bool segmented() const { return tracker_.linear(); }
 
   template <class Walk>
   bool operator()(Walk& w, std::uint64_t count) {

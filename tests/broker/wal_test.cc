@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "broker/codec.h"
 #include "pubsub/parser.h"
 #include "workload/subscription_gen.h"
 
@@ -165,6 +166,26 @@ TEST(Wal, CorruptSnapshotThrows) {
       bytes[bytes.size() / 2] ^= 0x01;
     wal.snapshot_store().replace(bytes);
     EXPECT_THROW((void)wal.recover(), wal_error) << "truncate=" << truncate;
+  }
+}
+
+// A record whose checksum is valid but whose link-list count exceeds the
+// payload is corruption: recover() must throw wal_error, not the
+// std::length_error a reserve() of that count would throw.
+TEST(Wal, InflatedRecordCountThrowsWalError) {
+  const auto huge = std::uint64_t{1} << 62;
+  // kind, op, from (zigzag), seq, id, then an empty subscription body.
+  const std::vector<std::uint8_t> head = {1, 7, 0, 0, 42, 0};
+  std::vector<std::uint8_t> sub = head;
+  codec::put_varint(sub, huge);  // nlinks
+  std::vector<std::uint8_t> withdrawn = {2, 8, 0, 0, 42};
+  codec::put_varint(withdrawn, huge);  // withdrawn link count
+  std::vector<std::uint8_t> reforwards = {2, 8, 0, 0, 42, 0};
+  codec::put_varint(reforwards, huge);  // reforward count
+  for (const auto& payload : {sub, withdrawn, reforwards}) {
+    broker_wal wal;
+    wal.log_store().replace(codec::frame(payload));
+    EXPECT_THROW((void)wal.recover(), wal_error);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "broker/codec.h"
@@ -327,6 +329,77 @@ TEST(WireTest, MutatedValidStreamsDetectOrDeliverVerbatim) {
       // checked verbatim above.
     }
   }
+}
+
+// Ids lists carry their element count up front. A count larger than the
+// bytes left in the payload is corrupt and must surface as wire_error — not
+// as the std::length_error / std::bad_alloc a reserve() of that size throws,
+// which the transport's read loop does not catch.
+TEST(WireTest, InflatedIdListCountThrowsWireError) {
+  const auto huge = std::uint64_t{1} << 62;
+  std::vector<std::uint8_t> ack = {static_cast<std::uint8_t>(msg_type::ack), 1, 1};
+  codec::put_varint(ack, huge);
+  EXPECT_THROW((void)decode_msg(ack.data(), ack.size()), wire_error);
+
+  std::vector<std::uint8_t> done = {static_cast<std::uint8_t>(msg_type::client_done), 1, 0};
+  codec::put_varint(done, huge);
+  EXPECT_THROW((void)decode_msg(done.data(), done.size()), wire_error);
+
+  // One more than the bytes that follow is already too many...
+  std::vector<std::uint8_t> short_ack = {static_cast<std::uint8_t>(msg_type::ack), 1, 1, 3, 5, 5};
+  EXPECT_THROW((void)decode_msg(short_ack.data(), short_ack.size()), wire_error);
+  // ...while a count that fits decodes.
+  short_ack[3] = 2;
+  EXPECT_EQ(decode_msg(short_ack.data(), short_ack.size()).delivered,
+            (std::vector<sub_id>{5, 10}));
+}
+
+// decode_msg on payloads the frame checksum would have rejected: every
+// sample payload truncated at every length, with a huge varint spliced in
+// at every byte (inflating whatever count or field sits there), and with
+// seeded random byte rewrites. Only wire_error may escape (CI runs this
+// under ASan/UBSan too).
+TEST(WireTest, MutatedPayloadsThrowOnlyWireError) {
+  const schema s = two_attr_schema();
+  std::size_t rejected = 0;
+  std::size_t decoded = 0;
+  const auto check = [&](const std::vector<std::uint8_t>& payload, const std::string& what) {
+    try {
+      (void)decode_msg(payload.data(), payload.size());
+      ++decoded;
+    } catch (const wire_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+    }
+  };
+  rng r(2718);
+  for (const auto& m : sample_messages(s)) {
+    const auto payload = encode_msg(m);
+    const std::string type = std::to_string(static_cast<int>(m.type));
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      check(std::vector<std::uint8_t>(payload.begin(), payload.begin() + cut),
+            "type " + type + " cut " + std::to_string(cut));
+    }
+    for (std::size_t at = 0; at < payload.size(); ++at) {
+      for (const std::uint64_t big : {std::uint64_t{1} << 62, std::uint64_t{1} << 35,
+                                      std::uint64_t{payload.size()}}) {
+        std::vector<std::uint8_t> inflated(payload.begin(), payload.begin() + at);
+        codec::put_varint(inflated, big);
+        inflated.insert(inflated.end(), payload.begin() + at + 1, payload.end());
+        check(inflated, "type " + type + " inflate at " + std::to_string(at));
+      }
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      auto mutated = payload;
+      const int flips = static_cast<int>(r.uniform(1, 4));
+      for (int i = 0; i < flips; ++i)
+        mutated[r.index(mutated.size())] = static_cast<std::uint8_t>(r.uniform(0, 255));
+      check(mutated, "type " + type + " trial " + std::to_string(trial));
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 }  // namespace

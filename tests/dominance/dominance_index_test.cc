@@ -5,7 +5,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "covering/sfc_covering_index.h"
 #include "util/random.h"
+#include "workload/subscription_gen.h"
 
 namespace subcover {
 namespace {
@@ -185,6 +187,20 @@ TEST(DominanceIndex, MaxCubesGuard) {
   EXPECT_THROW((void)idx.query(point{255, 255}, 0.0), std::length_error);
   // The approximate query's truncated region is tiny and stays within budget.
   EXPECT_NO_THROW((void)idx.query(point{255, 255}, 0.5));
+}
+
+TEST(DominanceIndex, MaxCubesAboveUint32Throws) {
+  // A level's runs are ranked in 32-bit lanes; the budget bounds every
+  // level's run count, so both index constructors reject a wider budget.
+  dominance_options o;
+  o.max_cubes = std::uint64_t{1} << 32;
+  EXPECT_THROW(dominance_index(universe(2, 4), o), std::invalid_argument);
+  o.max_cubes = (std::uint64_t{1} << 32) - 1;
+  EXPECT_NO_THROW(dominance_index(universe(2, 4), o));
+  sfc_covering_options so;
+  so.max_cubes = std::uint64_t{1} << 32;
+  EXPECT_THROW(sfc_covering_index(workload::make_uniform_schema(2, 8), so),
+               std::invalid_argument);
 }
 
 TEST(DominanceIndex, ApproximateCheaperThanExhaustive) {

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <new>
 #include <vector>
 
@@ -122,110 +121,6 @@ TEST(QueryPlan, AllEntryPointsAgreeAcrossRandomUniverses) {
             EXPECT_EQ(via_query.has_value(), oracle) << what;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(QueryPlan, BatchedProbeIsByteIdenticalToSingleRangePath) {
-  // The batched frontier sweep (probe_frontier + volume-order replay) must
-  // reproduce the single-range reference path exactly: same hits, same
-  // pre-existing stats (runs probed, searched fraction, ...) for every
-  // curve, backend and epsilon. Only the physical probe-work counters may
-  // differ — batching must strictly reduce fresh descents on multi-probe
-  // queries.
-  rng gen(4242);
-  for (const auto curve : {curve_kind::z_order, curve_kind::hilbert, curve_kind::gray_code}) {
-    for (const auto array : {sfc_array_kind::skiplist, sfc_array_kind::sorted_vector}) {
-      const universe u(2, 6);
-      dominance_options batched_opts;
-      batched_opts.curve = curve;
-      batched_opts.array = array;
-      batched_opts.batched_probe = true;
-      dominance_options single_opts = batched_opts;
-      single_opts.batched_probe = false;
-      dominance_index batched_idx(u, batched_opts);
-      dominance_index single_idx(u, single_opts);
-      for (std::uint64_t i = 0; i < 200; ++i) {
-        const point p = random_point(gen, u);
-        batched_idx.insert(p, i);
-        single_idx.insert(p, i);
-      }
-
-      std::uint64_t batched_restarts = 0;
-      std::uint64_t single_restarts = 0;
-      for (const double eps : {0.0, 0.02, 0.2, 0.6}) {
-        for (int q = 0; q < 60; ++q) {
-          const point x = random_point(gen, u);
-          const std::string what = "curve=" + std::to_string(static_cast<int>(curve)) +
-                                   " array=" + std::to_string(static_cast<int>(array)) +
-                                   " eps=" + std::to_string(eps) + " x=" + x.to_string();
-          query_stats st_batched;
-          query_stats st_single;
-          const auto via_batched = batched_idx.query(x, eps, &st_batched);
-          const auto via_single = single_idx.query(x, eps, &st_single);
-          EXPECT_EQ(via_batched, via_single) << what;
-          expect_same_stats(st_batched, st_single, what);
-          // The reference path never batches; the batched path restarts at
-          // most once per probed level (the head probe) plus once per
-          // frontier sweep.
-          EXPECT_EQ(st_single.frontier_batches, 0u) << what;
-          EXPECT_EQ(st_single.probes_resumed, 0u) << what;
-          EXPECT_EQ(st_single.probes_restarted, st_single.runs_probed) << what;
-          EXPECT_LE(st_batched.probes_restarted,
-                    st_batched.runs_probed + st_batched.frontier_batches)
-              << what;
-          batched_restarts += st_batched.probes_restarted;
-          single_restarts += st_single.probes_restarted;
-        }
-      }
-      EXPECT_LT(batched_restarts, single_restarts)
-          << "batching should strictly reduce fresh descents";
-    }
-  }
-}
-
-TEST(QueryPlan, HeadProbeDepthPreservesResults) {
-  // dominance_options::head_probe moves probes between the individual-head
-  // and frontier-sweep execution strategies but never changes the probe
-  // order, so every depth — the pinned default 1 and fixed deeper heads —
-  // must return the same hit and the same logical stats as the single-range
-  // reference path on the same data.
-  rng gen(7117);
-  const universe u(2, 6);
-  dominance_options ref_opts;
-  ref_opts.batched_probe = false;
-  dominance_index ref_idx(u, ref_opts);
-  std::deque<dominance_index> idxs;
-  const int depths[] = {1, 2, 4, 7};
-  for (const int h : depths) {
-    dominance_options o;
-    o.head_probe = h;
-    idxs.emplace_back(u, o);
-  }
-  for (std::uint64_t i = 0; i < 150; ++i) {
-    const point p = random_point(gen, u);
-    ref_idx.insert(p, i);
-    for (auto& idx : idxs) idx.insert(p, i);
-  }
-  // Depths below 1 are rejected up front.
-  for (const int h : {0, -1}) {
-    dominance_options bad;
-    bad.head_probe = h;
-    EXPECT_THROW(dominance_index(u, bad), std::invalid_argument) << "head_probe=" << h;
-  }
-  for (const double eps : {0.0, 0.1, 0.5}) {
-    for (int q = 0; q < 120; ++q) {
-      const point x = random_point(gen, u);
-      query_stats ref_st;
-      const auto ref = ref_idx.query(x, eps, &ref_st);
-      for (std::size_t k = 0; k < idxs.size(); ++k) {
-        const std::string what = "head_probe=" + std::to_string(depths[k]) +
-                                 " eps=" + std::to_string(eps) + " x=" + x.to_string();
-        query_stats st;
-        const auto got = idxs[k].query(x, eps, &st);
-        EXPECT_EQ(got, ref) << what;
-        expect_same_stats(st, ref_st, what);
       }
     }
   }

@@ -137,7 +137,7 @@ TEST(KeyWidthEquivalence, DominanceQueriesAgreeAcrossWidths) {
       pts.emplace_back(p, i);
     }
     for (auto& idx : indexes) idx->insert_batch(pts);
-    for (const double eps : {0.0, 0.1}) {
+    for (const double eps : {0.0, 0.05, 0.1, 0.35}) {
       rng qgen(29);
       for (int trial = 0; trial < 50; ++trial) {
         point x(u.dims());
@@ -164,6 +164,14 @@ TEST(KeyWidthEquivalence, DominanceQueriesAgreeAcrossWidths) {
         ASSERT_EQ(st64.truncation_m, st512.truncation_m);
         ASSERT_EQ(st64.budget_exhausted, st512.budget_exhausted);
         ASSERT_EQ(st64.found, st512.found);
+        // The physical probe split too: u64 runs the vector kernels, u128
+        // and u512 the plain loops, and both must drive the same probes.
+        ASSERT_EQ(st64.frontier_batches, st512.frontier_batches);
+        ASSERT_EQ(st128.frontier_batches, st512.frontier_batches);
+        ASSERT_EQ(st64.probes_restarted, st512.probes_restarted);
+        ASSERT_EQ(st128.probes_restarted, st512.probes_restarted);
+        ASSERT_EQ(st64.probes_resumed, st512.probes_resumed);
+        ASSERT_EQ(st128.probes_resumed, st512.probes_resumed);
       }
     }
   }

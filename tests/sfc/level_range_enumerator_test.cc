@@ -346,7 +346,7 @@ segmented_level<K> segmented_emission(const basic_curve<K>& curve, const extrema
     out.lows.push_back(lo);
     return stop_at == 0 || out.lows.size() < stop_at;
   };
-  detail::lo_emitter<K, decltype(visit)> emit(curve, i, visit, &out.starts);
+  detail::lo_emitter<K, decltype(visit)> emit(curve, i, visit, out.starts);
   EXPECT_TRUE(emit.segmented());
   try {
     detail::level_walk<decltype(emit)>(curve.space(), r, i, emit, budget).run();
@@ -530,7 +530,7 @@ TEST(LevelRangeEnumerator, HilbertLowsStayInCountingOrder) {
   std::vector<std::uint64_t> lows;
   std::vector<std::size_t> starts;
   auto visit = [&](const std::uint64_t& lo) { lows.push_back(lo); };
-  detail::lo_emitter<std::uint64_t, decltype(visit)> emit(*curve, 0, visit, &starts);
+  detail::lo_emitter<std::uint64_t, decltype(visit)> emit(*curve, 0, visit, starts);
   EXPECT_FALSE(emit.segmented());
   detail::level_walk<decltype(emit)>(u, r, 0, emit, all.size()).run();
   EXPECT_TRUE(starts.empty());
