@@ -962,27 +962,22 @@ void BM_SimdKernelsCoalesce(benchmark::State& state) {
 BENCHMARK(BM_SimdKernelsCoalesce)->Arg(0)->Arg(1);
 
 void BM_SimdKernelsVolume(benchmark::State& state) {
-  // Volume accumulation over a run frontier: extents from the endpoint
-  // columns (sub), then the running searched-volume ledger (prefix sum) and
-  // the level total (sum) — the plan's per-level accounting kernels.
+  // Run extents from the endpoint columns (sub): the lanes the plan's head
+  // scan and chain-length classes read.
   constexpr std::size_t kLanes = 4096;
   constexpr std::uint64_t kCubeCells = 1u << 12;
   const bool dispatched = state.range(0) != 0;
   const auto lows = frontier_lows(kLanes, kCubeCells, 5);
   std::vector<std::uint64_t> his(kLanes);
   for (std::size_t i = 0; i < kLanes; ++i) his[i] = lows[i] + (kCubeCells - 1);
-  std::vector<std::uint64_t> ext(kLanes), cum(kLanes);
+  std::vector<std::uint64_t> ext(kLanes);
   for (auto _ : state) {
     if (dispatched) {
       simd::sub_u64(his.data(), lows.data(), ext.data(), kLanes);
-      simd::prefix_sum_u64(ext.data(), cum.data(), kLanes);
-      benchmark::DoNotOptimize(simd::sum_u64(ext.data(), kLanes));
     } else {
       simd::scalar::sub_u64(his.data(), lows.data(), ext.data(), kLanes);
-      simd::scalar::prefix_sum_u64(ext.data(), cum.data(), kLanes);
-      benchmark::DoNotOptimize(simd::scalar::sum_u64(ext.data(), kLanes));
     }
-    benchmark::DoNotOptimize(cum.data());
+    benchmark::DoNotOptimize(ext.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kLanes);
 }

@@ -2,6 +2,7 @@
 """Interleaved A/B of the end-to-end benchmark between two git refs.
 
     python3 scripts/perf_ab.py --base HEAD~1 --head HEAD --workload broker-net --pairs 10
+    python3 scripts/perf_ab.py --base HEAD~1 --head HEAD --micro BM_CoveringCheck --pairs 10
 
 Each ref (any tree-ish: a commit, a branch, or a tree id from
 `git write-tree`) is extracted with `git archive` into its own temporary
@@ -17,6 +18,11 @@ median is worse than the base's by more than the metric's bound; per side,
 failed and attempted operation counts; and every run's raw values. Exits 1
 if any run failed to produce a result or reported incorrect output.
 Nothing under perfbench/ or BENCHMARK.json is modified.
+
+With --micro FILTER, each side instead builds its own bench/micro_benchmark
+and a run is one `micro_benchmark --benchmark_filter=FILTER` pass. The
+report has the same shape, with one metric per benchmark: its real time in
+ns (lower is better, judged against MICRO_BOUND).
 """
 
 import argparse
@@ -30,6 +36,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# --micro runs: seconds per benchmark (--benchmark_min_time), and the
+# relative worsening flagged per benchmark, the end-to-end bounds' value.
+MICRO_MIN_TIME = 0.2
+MICRO_BOUND = 0.25
 
 
 def quartiles(values):
@@ -129,6 +139,47 @@ def extract(ref, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
+def micro_result(doc):
+    """A Google Benchmark JSON report as a run document: one metric per
+    benchmark (aggregate rows skipped), its real time in ns."""
+    scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    metrics = {}
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type", "iteration") != "iteration":
+            continue
+        metrics[b["name"]] = {"value": b["real_time"] * scale[b.get("time_unit", "ns")],
+                              "unit": "ns"}
+    return {"correct": True, "attempted": 0, "failed": 0, "metrics": metrics}
+
+
+def micro_spec(runs, bound):
+    """End-to-end-style metric specs for every benchmark any run reported."""
+    names = sorted({n for side in runs.values() for r in side if r for n in r["metrics"]})
+    return [{"name": n, "better": "lower", "bound": bound} for n in names]
+
+
+def build_micro(tree, target):
+    """Configures and builds `tree`'s micro_benchmark into `target`."""
+    subprocess.run(["cmake", "-S", str(tree), "-B", str(target), "-DCMAKE_BUILD_TYPE=Release",
+                    "-DSUBCOVER_BUILD_TESTS=OFF", "-DSUBCOVER_BUILD_EXAMPLES=OFF"],
+                   stdout=subprocess.DEVNULL, check=True)
+    subprocess.run(["cmake", "--build", str(target), "--target", "micro_benchmark", "-j", "2"],
+                   stdout=subprocess.DEVNULL, check=True)
+
+
+def run_micro_once(tree, target, args):
+    """One micro_benchmark pass; returns its run document or None."""
+    cmd = [str(target / "micro_benchmark"), "--benchmark_filter=" + args.micro,
+           "--benchmark_min_time=%g" % MICRO_MIN_TIME, "--benchmark_format=json"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        return micro_result(json.loads(proc.stdout))
+    except (json.JSONDecodeError, KeyError):
+        print("perf_ab: %s gave no result: %s" % (tree.name, proc.stderr.strip()),
+              file=sys.stderr)
+        return None
+
+
 def run_once(tree, target, args):
     """One perfbench/run.py invocation; returns its result document or None."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
@@ -149,7 +200,9 @@ def main(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="tree-ish of the parent side")
     p.add_argument("--head", required=True, help="tree-ish of the change side")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", help="a BENCHMARK.json workload")
+    p.add_argument("--micro", metavar="FILTER",
+                   help="A/B micro_benchmark families matching FILTER instead of a workload")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=7919)
     p.add_argument("--seconds", type=float, default=25)
@@ -157,6 +210,8 @@ def main(argv):
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if (args.workload is None) == (args.micro is None):
+        p.error("give exactly one of --workload and --micro")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     work = Path(tempfile.mkdtemp(prefix="perf_ab_", dir=args.workdir))
@@ -166,17 +221,24 @@ def main(argv):
         for side in ("base", "head"):
             trees[side] = work / side
             extract(getattr(args, side), trees[side])
+            if args.micro is not None:
+                build_micro(trees[side], work / ("build-" + side))
+        once = run_once if args.micro is None else run_micro_once
         for pair in range(args.pairs):
             for side in side_order(pair):
-                result = run_once(trees[side], work / ("build-" + side), args)
+                result = once(trees[side], work / ("build-" + side), args)
                 runs[side].append(result)
                 print("perf_ab: pair %d %s %s" % (pair, side,
                       "ok" if result and result["correct"] else "FAILED"), file=sys.stderr)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    report = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-              "base": args.base, "head": args.head, "pairs": args.pairs}
+    if args.micro is None:
+        report = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds}
+    else:
+        report = {"micro": args.micro, "min_time": MICRO_MIN_TIME}
+        spec = micro_spec(runs, MICRO_BOUND)
+    report.update({"base": args.base, "head": args.head, "pairs": args.pairs})
     report.update(summarize(spec, runs))
     report["runs"] = {
         side: [None if r is None else {m: v["value"] for m, v in r["metrics"].items()}

@@ -98,5 +98,41 @@ class SummarizeTest(unittest.TestCase):
         self.assertAlmostEqual(head["failed_share"], 0.01)
 
 
+class MicroTest(unittest.TestCase):
+    REPORT = {
+        "benchmarks": [
+            {"name": "BM_A/5", "run_type": "iteration", "real_time": 2.5, "time_unit": "us"},
+            {"name": "BM_A/5_mean", "run_type": "aggregate", "real_time": 9.0,
+             "time_unit": "us"},
+            {"name": "BM_B", "real_time": 700.0, "time_unit": "ns"},
+            {"name": "BM_C", "run_type": "iteration", "real_time": 1.5, "time_unit": "ms"},
+        ]
+    }
+
+    def test_result_in_ns_without_aggregates(self):
+        r = perf_ab.micro_result(self.REPORT)
+        self.assertTrue(r["correct"])
+        self.assertEqual((r["attempted"], r["failed"]), (0, 0))
+        values = {n: m["value"] for n, m in r["metrics"].items()}
+        self.assertEqual(values, {"BM_A/5": 2500.0, "BM_B": 700.0, "BM_C": 1.5e6})
+
+    def test_summary_per_benchmark(self):
+        def doc(a, b):
+            return {"correct": True, "attempted": 0, "failed": 0,
+                    "metrics": {"BM_A": {"value": a}, "BM_B": {"value": b}}}
+        runs = {"base": [doc(100, 50), doc(110, 50), None],
+                "head": [doc(80, 60), doc(90, 58), doc(85, 40)]}
+        spec = perf_ab.micro_spec(runs, 0.1)
+        self.assertEqual([m["name"] for m in spec], ["BM_A", "BM_B"])
+        s = perf_ab.summarize(spec, runs)
+        a, b = s["metrics"]["BM_A"], s["metrics"]["BM_B"]
+        self.assertEqual((a["pairs"], a["head_wins"], a["head_losses"]), (2, 2, 0))
+        self.assertEqual((a["base_median"], a["head_median"], a["base_iqr"]), (105, 85, 5))
+        self.assertEqual((b["head_wins"], b["ties"], b["head_losses"]), (0, 0, 2))
+        self.assertTrue(b["worse_than_bound"])  # median 59 vs 50, bound 10%
+        self.assertEqual(s["operations"]["base"]["runs_without_result"], 1)
+        self.assertEqual(s["operations"]["head"]["failed_share"], 0.0)
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -149,7 +149,9 @@ subscription read_subscription(basic_byte_reader<Error>& in) {
   for (std::uint64_t i = 0; i < n; ++i) {
     attr_range r;
     r.lo = in.varint();
-    r.hi = r.lo + in.varint();
+    const std::uint64_t delta = in.varint();
+    if (delta > ~std::uint64_t{0} - r.lo) throw Error("codec: attribute range wraps");
+    r.hi = r.lo + delta;
     ranges.push_back(r);
   }
   // Bypass schema validation: the ranges were validated when first accepted,

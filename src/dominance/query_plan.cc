@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -20,35 +20,87 @@ namespace subcover {
 
 namespace {
 
-// Stack-allocated receiver for one batched level sweep: records each probed
-// range's answer under its replay rank and stops the sweep as soon as no
-// remaining range can outrank the best hit found so far.
+// Stack-allocated receiver for one batched level sweep: keeps the best hit —
+// the smallest class key, ties to the first swept — and stops the sweep as
+// soon as no remaining range can outrank it.
 template <class K>
 struct sweep_sink final : basic_sfc_array<K>::frontier_sink {
   using entry = typename basic_sfc_array<K>::entry;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  const std::uint32_t* rank;        // sweep position -> replay rank
-  const std::uint32_t* suffix_min;  // min rank among sweep positions i..end
+  const std::uint32_t* key;         // sweep position -> class key
+  const std::uint32_t* suffix_min;  // min key among sweep positions i..end
   std::size_t n;                    // sweep length
-  std::uint8_t* found;              // rank-indexed answers
-  std::uint64_t* ids;
-  std::uint32_t best_rank;          // smallest rank that hit; "none" = cap
+  std::uint32_t best_key = kNone;
+  std::size_t best_pos = 0;
+  std::uint64_t best_id = 0;
   std::uint64_t visited = 0;
 
   bool on_probe(std::size_t i, const entry* hit) override {
     ++visited;
-    const std::uint32_t rk = rank[i];
-    if (hit != nullptr) {
-      found[rk] = 1;
-      ids[rk] = hit->id;
-      if (rk < best_rank) best_rank = rk;
+    if (hit != nullptr && key[i] < best_key) {
+      best_key = key[i];
+      best_pos = i;
+      best_id = hit->id;
     }
-    // Continue while some unprobed range still ranks above (earlier in the
-    // replay than) the best hit; once none does, the replay can never reach
-    // an unprobed range.
-    return i + 1 < n && suffix_min[i + 1] < best_rank;
+    // Continue while some unprobed range still ranks above the best hit: a
+    // longer chain (smaller key), since an equal one swept later ranks
+    // after it. Once none does, the search can never reach an unprobed
+    // range.
+    return i + 1 < n && suffix_min[i + 1] < best_key;
   }
 };
+
+// Searched-volume accumulation. Every partial sum of run volumes is an
+// integer no larger than the query region, at most 2^(d*k). At u64 that
+// is <= 2^64, which a long double with a 64-bit significand holds exactly,
+// so r adds of one class volume equal one multiply-add bit for bit. Wider
+// keys, or a narrower long double, add one run at a time.
+template <class K>
+constexpr bool kExactVolumeSums =
+    std::is_same_v<K, std::uint64_t> && std::numeric_limits<long double>::digits >= 64;
+
+constexpr long double kNoTarget = std::numeric_limits<long double>::infinity();
+
+// Adds up to r runs of `cells` volume each to cum, in rank order, stopping
+// after the first add that reaches `target`; returns the number of adds.
+template <class K>
+std::uint64_t add_runs(long double& cum, long double cells, std::uint64_t r, long double target) {
+  if constexpr (kExactVolumeSums<K>) {
+    const auto after = [&](std::uint64_t t) { return cum + static_cast<long double>(t) * cells; };
+    if (r == 0 || after(r) < target) {
+      cum = after(r);
+      return r;
+    }
+    std::uint64_t lo = 1;  // the first add reaching target is in [lo, r]
+    std::uint64_t hi = r;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (after(mid) >= target) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    cum = after(lo);
+    return lo;
+  } else {
+    for (std::uint64_t t = 1; t <= r; ++t) {
+      cum += cells;
+      if (cum >= target) return t;
+    }
+    return r;
+  }
+}
+
+// Plan scratch only grows: returns v's storage for n elements, resizing only
+// when it is too short, so a warm plan neither allocates nor re-initialises
+// (every use passes its length explicitly).
+template <class T>
+T* scratch(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
 
 // --- plain-loop frontier primitives -----------------------------------------
 // The implementation at the wide key widths (the vector kernels are
@@ -329,40 +381,35 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
     } else {
       std::sort(ts.lo_col.begin(), ts.lo_col.end());
     }
-    ts.run_lo.resize(cube_count);
-    ts.run_hi.resize(cube_count);
+    K* const run_lo = scratch(ts.run_lo, cube_count);
+    K* const run_hi = scratch(ts.run_hi, cube_count);
     std::size_t run_count;
     if (cube_count == 1) {
       // Also the only case where the cube span could wrap the key width
       // (the whole-universe cube at d*k bits).
-      ts.run_lo[0] = sorted[0];
-      ts.run_hi[0] = sorted[0] | level_mask;
+      run_lo[0] = sorted[0];
+      run_hi[0] = sorted[0] | level_mask;
       run_count = 1;
     } else if constexpr (std::is_same_v<K, std::uint64_t>) {
-      run_count = simd::coalesce_cubes_u64(sorted, cube_count, level_mask + 1, ts.run_lo.data(),
-                                           ts.run_hi.data());
+      run_count = simd::coalesce_cubes_u64(sorted, cube_count, level_mask + 1, run_lo, run_hi);
     } else {
       run_count = coalesce_cubes_plain<K>(sorted, cube_count, level_mask + key_traits<K>::one(),
-                                          ts.run_lo.data(), ts.run_hi.data());
+                                          run_lo, run_hi);
     }
     st.runs_in_plan += run_count;
 
-    // Volume of one run, exactly range.cell_count_ld().
-    const auto run_cells_ld = [&ts](std::size_t p) {
-      return key_traits<K>::to_long_double(ts.run_ext[p]) + 1.0L;
-    };
-    const auto run_at = [&ts](std::size_t p) {
+    const auto run_at = [run_lo, run_hi](std::size_t p) {
       basic_key_range<K> r;
-      r.lo = ts.run_lo[p];
-      r.hi = ts.run_hi[p];
+      r.lo = run_lo[p];
+      r.hi = run_hi[p];
       return r;
     };
-    // Extent lanes: the volume key of every ordering and accumulation below.
-    ts.run_ext.resize(run_count);
+    // Extent lanes: what the head scan and the chain lengths read.
+    K* const run_ext = scratch(ts.run_ext, run_count);
     if constexpr (std::is_same_v<K, std::uint64_t>) {
-      simd::sub_u64(ts.run_hi.data(), ts.run_lo.data(), ts.run_ext.data(), run_count);
+      simd::sub_u64(run_hi, run_lo, run_ext, run_count);
     } else {
-      for (std::size_t p = 0; p < run_count; ++p) ts.run_ext[p] = ts.run_hi[p] - ts.run_lo[p];
+      for (std::size_t p = 0; p < run_count; ++p) run_ext[p] = run_hi[p] - run_lo[p];
     }
 
     // --- head probe (see query_plan.h) -----------------------------------
@@ -371,14 +418,14 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
     // probed alone, and only a miss orders the frontier at all.
     std::size_t head;
     if constexpr (std::is_same_v<K, std::uint64_t>) {
-      head = simd::head_rank_scan_u64(ts.run_ext.data(), ts.run_lo.data(), run_count);
+      head = simd::head_rank_scan_u64(run_ext, run_lo, run_count);
     } else {
-      head = head_scan_plain<K>(ts.run_ext.data(), ts.run_lo.data(), run_count);
+      head = head_scan_plain<K>(run_ext, run_lo, run_count);
     }
     ++st.runs_probed;
     ++st.probes_restarted;
     const auto head_hit = ts.array->first_in(run_at(head), &ts.hint);
-    searched += run_cells_ld(head);
+    searched += key_traits<K>::to_long_double(run_ext[head]) + 1.0L;  // cell_count_ld()
     if (head_hit.has_value()) {
       result = head_hit->id;
       st.found = true;
@@ -388,106 +435,145 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
     if (run_count == 1) continue;
 
     // --- batched frontier sweep over ranks 1.. ----------------------------
-    // The probe order (largest run first, ties by ascending lo) as a rank
-    // -> position map over the merged frontier. The lo tie-break is
-    // well-defined: merged ranges have distinct lows. The run columns are
-    // key-ascending, so at u64 a stable descending radix argsort on the
-    // extents alone yields exactly the (extent desc, lo asc) order.
-    if constexpr (std::is_same_v<K, std::uint64_t>) {
-      radix::argsort_u64(ts.run_ext.data(), run_count, radix::direction::descending,
-                         replay_order_, order_scratch_);
-    } else {
-      replay_order_.resize(run_count);
-      std::iota(replay_order_.begin(), replay_order_.end(), 0U);
-      std::sort(replay_order_.begin(), replay_order_.end(),
-                [&ext = ts.run_ext, &lo = ts.run_lo](std::uint32_t a, std::uint32_t b) {
-                  if (ext[a] != ext[b]) return ext[b] < ext[a];
-                  return lo[a] < lo[b];
-                });
+    // Probe order by counting: every cube of level i spans 2^(d*i) cells,
+    // so a run's volume is its chain length c times one cube, and the order
+    // (volume desc, lo asc) is a counting order over the level's few
+    // distinct chain lengths. One pass over the extents builds the class
+    // histogram; the head, the longest run, bounds it. Four interleaved
+    // counters per length keep consecutive runs of one length (the common
+    // case) from serialising on one counter. run_count >= 2, so no run
+    // spans the whole key width and the shift stays below it.
+    const int cube_bits = i * u.dims();
+    const auto chain_len = [cube_bits](const K& ext) {
+      return static_cast<std::uint32_t>(key_traits<K>::low64(ext >> cube_bits) + 1);
+    };
+    const std::uint32_t top = chain_len(run_ext[head]);
+    const std::size_t stride = std::size_t{top} + 1;
+    class_count_.assign(4 * stride, 0);
+    std::uint32_t* const hist = class_count_.data();
+    std::uint32_t* const run_len = scratch(run_len_, run_count);
+    for (std::size_t p = 0; p < run_count; ++p) {
+      const std::uint32_t c = chain_len(run_ext[p]);
+      run_len[p] = c;
+      ++hist[(p & 3) * stride + c];
     }
+    // Classes in descending length (probe order): count, first rank, and
+    // the volume of one run (exactly range.cell_count_ld()).
+    classes_.clear();
+    std::uint32_t first_rank = 0;
+    for (std::uint32_t c = top; c > 0; --c) {
+      const std::uint32_t n =
+          hist[c] + hist[stride + c] + hist[2 * stride + c] + hist[3 * stride + c];
+      if (n == 0) continue;
+      const K ext = (K(std::uint64_t{c} - 1) << cube_bits) | level_mask;
+      classes_.push_back({c, n, first_rank, key_traits<K>::to_long_double(ext) + 1.0L});
+      first_rank += n;
+    }
+    // Ranks of class k that follow the head (rank 0, the first run of the
+    // top class).
+    const auto ranks_after_head = [this](std::size_t k) {
+      return std::uint64_t{classes_[k].count} - (k == 0 ? 1 : 0);
+    };
     // With epsilon > 0 the coverage stop point depends only on run volumes:
-    // rerun the accumulation (same long-double order the replay uses,
-    // continuing after the head's contribution) to find how many ranks the
-    // replay can possibly visit, and never probe past them.
+    // accumulate them class by class after the head's contribution (the
+    // sums the replay makes) to find how many ranks the search can possibly
+    // visit, and never probe past them.
     std::size_t probe_count = run_count;
+    std::size_t cut_class = classes_.size();
     if (epsilon > 0) {
       long double cum = searched;
-      for (std::size_t j = 1; j < run_count; ++j) {
-        cum += run_cells_ld(replay_order_[j]);
+      std::size_t ranked = 1;
+      for (std::size_t k = 0; k < classes_.size(); ++k) {
+        ranked += add_runs<K>(cum, classes_[k].cells, ranks_after_head(k), coverage_target);
         if (cum >= coverage_target) {
-          probe_count = j + 1;
+          probe_count = ranked;
+          cut_class = k;
           break;
         }
       }
     }
-    // Sweep list: the rank < probe_count subset in key-ascending order, each
-    // element carrying its rank. With no coverage cut (the common case, and
-    // always for epsilon == 0) that is the whole frontier — materialized
-    // straight off the run columns (re-answering the already-probed head is
-    // harmless and cheaper than compacting it away); only a genuine cut
-    // compacts, dropping the head with the rest.
-    pos_rank_.resize(run_count);
-    for (std::size_t j = 0; j < run_count; ++j)
-      pos_rank_[replay_order_[j]] = static_cast<std::uint32_t>(j);
-    const std::uint32_t* sweep_rank = pos_rank_.data();
-    std::size_t pn = run_count;
-    if (probe_count < run_count) {
-      ts.probe_ranges.clear();
-      probe_rank_.clear();
-      for (std::size_t pos = 0; pos < run_count; ++pos) {
-        if (pos_rank_[pos] >= 1 && pos_rank_[pos] < probe_count) {
-          ts.probe_ranges.push_back(run_at(pos));
-          probe_rank_.push_back(pos_rank_[pos]);
-        }
+    // Sweep list in key order, keyed by class (top + 1 - c: longer chains
+    // first). With no coverage cut (the common case, and always for
+    // epsilon == 0) that is the whole frontier, the already-probed head
+    // included under key 0, which the suffix table's floor masks
+    // (re-answering it is harmless and cheaper than compacting it away). A
+    // genuine cut keeps ranks 1 .. probe_count - 1 only: every run of the
+    // classes above the cut class but the head, and the first runs of the
+    // cut class in key order — the ascending-lo tie-break.
+    const std::size_t pn = probe_count == run_count ? run_count : probe_count - 1;
+    basic_key_range<K>* const sweep_list = scratch(ts.probe_ranges, pn);
+    std::uint32_t* const sweep_key = scratch(probe_key_, pn);
+    if (probe_count == run_count) {
+      for (std::size_t p = 0; p < run_count; ++p) {
+        sweep_list[p] = run_at(p);
+        sweep_key[p] = top + 1 - run_len[p];
       }
-      sweep_rank = probe_rank_.data();
-      pn = ts.probe_ranges.size();
+      sweep_key[head] = 0;
     } else {
-      ts.probe_ranges.resize(run_count);
-      for (std::size_t pos = 0; pos < run_count; ++pos) ts.probe_ranges[pos] = run_at(pos);
+      const std::uint32_t cut_len = classes_[cut_class].len;
+      std::size_t take = probe_count - classes_[cut_class].first;  // cut-class ranks kept
+      std::size_t kept = 0;
+      for (std::size_t p = 0; p < run_count; ++p) {
+        const std::uint32_t c = run_len[p];
+        if (c < cut_len) continue;
+        if (c == cut_len) {
+          if (take == 0) continue;
+          --take;
+        }
+        if (p == head) continue;  // rank 0, counted in its class's take
+        sweep_list[kept] = run_at(p);
+        sweep_key[kept] = top + 1 - c;
+        ++kept;
+      }
+      SUBCOVER_DCHECK(kept == pn, "query_plan: cut sweep list has the wrong length");
     }
-    // Suffix-min-rank table: the sink's oracle for stopping the sweep once
-    // no unprobed range can outrank the best hit. The head is already
-    // answered (it missed), so it must not hold the sweep open; the
-    // kernel's floor of 1 masks it to the weakest rank.
-    suffix_min_rank_.resize(pn);
-    simd::suffix_min_masked_u32(sweep_rank, pn, 1, suffix_min_rank_.data());
-    hit_found_.assign(probe_count, 0);
-    hit_id_.resize(probe_count);
+    // Suffix-min-key table: the sink's oracle for stopping the sweep once
+    // no unprobed range can outrank the best hit.
+    std::uint32_t* const suffix_min = scratch(suffix_min_key_, pn);
+    simd::suffix_min_masked_u32(sweep_key, pn, 1, suffix_min);
 
     sweep_sink<K> sweep;
-    sweep.rank = sweep_rank;
-    sweep.suffix_min = suffix_min_rank_.data();
+    sweep.key = sweep_key;
+    sweep.suffix_min = suffix_min;
     sweep.n = pn;
-    sweep.found = hit_found_.data();
-    sweep.ids = hit_id_.data();
-    sweep.best_rank = static_cast<std::uint32_t>(probe_count);
-    ts.array->probe_frontier(std::span<const basic_key_range<K>>(ts.probe_ranges.data(), pn),
-                             sweep);
+    ts.array->probe_frontier(std::span<const basic_key_range<K>>(sweep_list, pn), sweep);
     ++st.frontier_batches;
     if (sweep.visited > 0) {
       ++st.probes_restarted;
       st.probes_resumed += sweep.visited - 1;
     }
 
-    // Volume-order replay of the recorded answers, continuing after the
-    // head: every rank below the first hit was swept (the early stop only
-    // fires once no unprobed range outranks the best hit) and recorded as a
-    // miss, so the result, stop point and logical stats are those of
-    // probing the runs one by one in rank order.
-    for (std::size_t j = 1; j < probe_count; ++j) {
-      ++st.runs_probed;
-      searched += run_cells_ld(replay_order_[j]);
-      if (hit_found_[j] != 0) {
-        result = hit_id_[j];
-        st.found = true;
-        done = true;
-        break;
-      }
-      if (epsilon > 0 && searched >= coverage_target) {
-        done = true;
-        break;
-      }
+    // The best hit's rank: its class's first rank plus the class members
+    // swept before it, plus the head where it leads the class (keyed apart,
+    // or left out of a cut list).
+    std::size_t best_rank = probe_count;
+    if (sweep.best_key != sweep_sink<K>::kNone) {
+      const std::uint32_t c = top + 1 - sweep.best_key;
+      std::size_t before = c == top ? 1 : 0;
+      for (std::size_t j = 0; j < sweep.best_pos; ++j) before += sweep_key[j] == sweep.best_key;
+      std::size_t k = 0;
+      while (classes_[k].len != c) ++k;
+      best_rank = classes_[k].first + before;
+    }
+    // Replay in volume order, continuing after the head: every rank below
+    // the best hit was swept (the early stop only fires once no unprobed
+    // range outranks it) and missed, so probing the runs one by one in rank
+    // order would stop at the best hit or, short of one, at the last rank
+    // the cut admits. The volume of ranks 1 .. that stop is summed class by
+    // class, exactly as those probes would add it.
+    const std::size_t replayed = std::min(best_rank, probe_count - 1);
+    st.runs_probed += replayed;
+    for (std::size_t k = 0, left = replayed; left > 0; ++k) {
+      const std::uint64_t r = std::min<std::uint64_t>(ranks_after_head(k), left);
+      add_runs<K>(searched, classes_[k].cells, r, kNoTarget);
+      left -= r;
+    }
+    if (best_rank < probe_count) {
+      result = sweep.best_id;
+      st.found = true;
+      done = true;
+    } else if (epsilon > 0 && searched >= coverage_target) {
+      done = true;
     }
   }
   st.volume_fraction_searched = searched / vol_full;

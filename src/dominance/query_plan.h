@@ -25,10 +25,10 @@
 // of level i has the same extent — hi is lo | mask(d*i), never stored per
 // cube); coalescing orders that one key column and emits maximal runs into
 // the `run_lo` / `run_hi` columns; `run_ext` (hi - lo lanes) feeds the
-// volume ordering and the searched-volume accumulation. On u64-width
+// head scan and the chain-length classes of the volume ranking. On u64-width
 // universes (d*k <= 64, the common case) the per-level work on those
 // columns — cube coalescing, extent subtraction, the head-probe argbest
-// scan, the sweep's suffix-min-rank table — runs through the
+// scan, the sweep's suffix-min-key table — runs through the
 // runtime-dispatched vector kernels of util/simd_kernels.h (scalar /
 // SSE4.2 / AVX2, picked once per process via util/cpu_features.h; the
 // SUBCOVER_FORCE_SCALAR environment variable pins the scalar backend).
@@ -37,10 +37,8 @@
 // decisions and all query_stats are identical at every key width and
 // every dispatch tier; only speed moves.
 //
-// Linear-time frontier ordering: putting a level in order — the cube
-// lows, then the runs by volume — once cost a batched covering check more
-// than enumeration and probing. No comparison sort is left on either. On
-// the XOR-linear curves (Z, Gray) the enumerator emits each Algorithm-2
+// Linear-time frontier ordering: no comparison sort is left on a level.
+// On the XOR-linear curves (Z, Gray) the enumerator emits each Algorithm-2
 // rectangle as key-ascending segments (the sorted-segment contract of
 // extremal_decomposition.h): a rectangle's lows are an affine subspace of
 // key space, walked in key order from its minimum. A level holds only a
@@ -50,14 +48,17 @@
 // its lows come in counting order and are sorted, with the LSD radix sort
 // of util/radix_sort.h at u64 (only the digits that vary across the
 // column) and std::sort when wider. The lows of a level are distinct, so
-// merge and sort both yield std::sort's order exactly. The replay order is
-// a stable descending counting sort on the run extents (hi - lo, i.e. run
-// length in cubes, scaled): the run columns are already key-ascending, so
-// stability reproduces the ascending-lo tie-break exactly;
-// wider keys keep std::sort there, and the width-equivalence suites
-// cross-check the two. No option selects between these orderings, so
-// results and stats are byte-identical to the comparison-sorted plan by
-// construction.
+// merge and sort both yield std::sort's order exactly. The runs are then
+// ranked by counting, not sorted: every cube of level i spans 2^(d*i)
+// cells, so a run's volume is its chain length c (in cubes) times one
+// cube, and the probe order (volume desc, lo asc) is a counting order over
+// the level's few distinct chain lengths. A histogram of c gives each
+// class its first rank; within a class, key order is the ascending-lo
+// tie-break, so a run's rank is its class's first rank plus the class
+// members before it in key order. The sweep compares runs by class key
+// and sweep position, which is that order, and only the best hit's rank
+// is ever counted out. The same code runs at every width, and the
+// equivalence suites cross-check it against the oracle's comparison sort.
 //
 // Batched frontier probing: instead of one independent first_in per run —
 // each a fresh O(log n) descent of the SFC array — the plan hands the
@@ -65,23 +66,30 @@
 // basic_sfc_array::probe_frontier, which answers it in one resumed sweep
 // (galloping cursor on the sorted vector, per-level fingers on the skip
 // list). Volume-descending semantics are preserved exactly by separating
-// the *sweep order* (key-ascending, what the array wants) from the *replay
-// order* (volume-descending, what the search semantics demand): the plan
-// records each range's probe answer during the sweep, then replays the
-// answers in volume order, reproducing the result, stop point and every
-// logical query_stats field of probing the runs one at a time in volume
-// order (the test oracle tests/dominance/reference_query.h does exactly
-// that). Rank 0 — the run probed first, which on hit-dense workloads
-// usually decides the level — is found with one O(m) scan and probed alone
-// before any ordering work; only a miss engages the sort + sweep machinery
-// for the remaining ranks.
+// the *sweep order* (key-ascending, what the array wants) from the *probe
+// rank* (volume-descending, what the search semantics demand): each
+// swept range carries its class key, the sweep keeps the best hit (the
+// longest chain, ties to the first swept: the smallest rank), and the
+// replay settles the search from that hit's rank — it stops there, or
+// short of a hit at the last rank the coverage cut admits, and adds the
+// searched volume per chain-length class (count of ranks times one run's
+// volume). That reproduces the result, stop point and every logical
+// query_stats field of probing the runs one at a time in rank order (the
+// test oracle tests/dominance/reference_query.h does exactly that). At
+// u64 the class sums are exact in long double (every partial sum is an
+// integer <= 2^64), so they are closed-form multiply-adds; wider keys add
+// one run at a time, in rank order, exactly as the oracle rounds. Rank 0 —
+// the run probed first, which on hit-dense workloads usually decides the
+// level — is found with one O(m) scan and probed alone before any ranking
+// work; only a miss engages the class histogram and the sweep for the
+// remaining ranks.
 // Two prunings keep the sweep from touching runs the replay can never
 // reach: (a) with epsilon > 0 the coverage stop point depends only on run
-// volumes, so the sweep is cut to the exact volume-order prefix the replay
-// can visit before probing anything; (b) once a sweep finds a hit, it
-// stops as soon as every remaining range ranks below (smaller volume than)
-// the best hit so far — a min-rank-of-suffix table makes that check O(1)
-// per probe. The physical probe work is reported in the frontier_batches /
+// volumes, so the sweep is cut, before probing anything, to the ranks the
+// search can visit (found by walking the class histogram); (b) once a
+// sweep finds a hit, it stops as soon as every remaining range ranks below
+// the best hit so far — a min-class-key-of-suffix table makes that check
+// O(1) per probe. The physical probe work is reported in the frontier_batches /
 // probes_restarted / probes_resumed stats; runs_probed stays the paper's
 // logical cost measure.
 //
@@ -95,8 +103,10 @@
 //
 // Scratch-buffer contract: a plan owns every buffer the search needs (the
 // per-level cube counts, the frontier columns of the current level and
-// their segment starts, the merge and radix scratch, the batched sweep's
-// order/rank/answer buffers, and the array probe cursor).
+// their segment starts, the merge and radix scratch, the chain-length
+// class histogram, the batched sweep's key buffers, and the array probe
+// cursor). The per-level buffers only grow, and every use passes its
+// length explicitly, so a level never re-initialises them either.
 // Buffers are reused across run() calls, so after the first query of a
 // given shape the hot path performs zero heap allocations: no
 // std::function dispatch (template visitors), no materialization of the
@@ -187,22 +197,26 @@ class query_plan {
   const dominance_index* index_;
   std::vector<u512> level_counts_;  // Lemma 3.5 counts, reused per query
   // Batched-probe scratch (key-type independent, reused across queries):
-  // replay_order_ maps volume-descending rank -> position in the run
-  // columns; pos_rank_ is its inverse; probe_rank_ holds the rank of each
-  // sweep-list element; suffix_min_rank_[i] = min rank among sweep elements
-  // i..end (the sweep's early-stop oracle); hit_found_/hit_id_ record each
-  // rank's probe answer for the replay.
-  std::vector<std::uint32_t> replay_order_;
-  std::vector<std::uint32_t> pos_rank_;
-  std::vector<std::uint32_t> probe_rank_;
-  std::vector<std::uint32_t> suffix_min_rank_;
-  std::vector<std::uint8_t> hit_found_;
-  std::vector<std::uint64_t> hit_id_;
+  // run_len_[p] is run p's chain length in cubes; class_count_ holds four
+  // interleaved histograms of those lengths; classes_ lists the level's
+  // lengths in descending (probe) order; probe_key_ holds each sweep-list
+  // element's class key (top length + 1 - length, the head 0);
+  // suffix_min_key_[i] = min key among sweep elements i..end (the sweep's
+  // early-stop oracle).
+  struct length_class {
+    std::uint32_t len;    // chain length in cubes
+    std::uint32_t count;  // runs of this length
+    std::uint32_t first;  // rank of the first of them
+    long double cells;    // volume of one of them
+  };
+  std::vector<std::uint32_t> run_len_;
+  std::vector<std::uint32_t> class_count_;
+  std::vector<length_class> classes_;
+  std::vector<std::uint32_t> probe_key_;
+  std::vector<std::uint32_t> suffix_min_key_;
   // Level-relative starts of the key-ascending segments the emitter wrote
   // into lo_col (segmented levels only, i.e. the XOR-linear curves).
   std::vector<std::size_t> segment_starts_;
-  // Radix-argsort scratch (u64 width only): the permutation buffer.
-  std::vector<std::uint32_t> order_scratch_;
   std::variant<typed_state<std::uint64_t>, typed_state<u128>, typed_state<u512>> state_;
 };
 

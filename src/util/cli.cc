@@ -1,14 +1,19 @@
 #include "util/cli.h"
 
-#include <stdexcept>
+#include <cstdlib>
+#include <iostream>
+#include <sstream>
 
 namespace subcover {
 
-cli_flags::cli_flags(int argc, const char* const* argv) {
+cli_flags::cli_flags(int argc, const char* const* argv)
+    : program_(argc > 0 ? argv[0] : "program") {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0)
-      throw std::invalid_argument("cli_flags: expected --name[=value], got '" + arg + "'");
+    if (arg.rfind("--", 0) != 0) {
+      errors_.push_back("expected --name[=value], got '" + arg + "'");
+      continue;
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
@@ -17,62 +22,66 @@ cli_flags::cli_flags(int argc, const char* const* argv) {
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
   }
-  for (const auto& [name, value] : values_) {
-    (void)value;
-    known_[name] = false;
-  }
+}
+
+const std::string* cli_flags::lookup(const std::string& name, const std::string& def) {
+  accepted_[name] = def;
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 std::int64_t cli_flags::get_int(const std::string& name, std::int64_t def) {
-  known_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* v = lookup(name, std::to_string(def));
+  if (v == nullptr) return def;
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing characters");
-    return v;
+    const std::int64_t x = std::stoll(*v, &pos);
+    if (pos == v->size()) return x;
   } catch (const std::exception&) {
-    throw std::invalid_argument("cli_flags: --" + name + " expects an integer, got '" +
-                                it->second + "'");
   }
+  errors_.push_back("--" + name + " expects an integer, got '" + *v + "'");
+  return def;
 }
 
 double cli_flags::get_double(const std::string& name, double def) {
-  known_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  std::ostringstream text;
+  text << def;
+  const std::string* v = lookup(name, text.str());
+  if (v == nullptr) return def;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing characters");
-    return v;
+    const double x = std::stod(*v, &pos);
+    if (pos == v->size()) return x;
   } catch (const std::exception&) {
-    throw std::invalid_argument("cli_flags: --" + name + " expects a number, got '" +
-                                it->second + "'");
   }
+  errors_.push_back("--" + name + " expects a number, got '" + *v + "'");
+  return def;
 }
 
 bool cli_flags::get_bool(const std::string& name, bool def) {
-  known_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  if (it->second == "true" || it->second == "1") return true;
-  if (it->second == "false" || it->second == "0") return false;
-  throw std::invalid_argument("cli_flags: --" + name + " expects true/false, got '" +
-                              it->second + "'");
+  const std::string* v = lookup(name, def ? "true" : "false");
+  if (v == nullptr) return def;
+  if (*v == "true" || *v == "1") return true;
+  if (*v == "false" || *v == "0") return false;
+  errors_.push_back("--" + name + " expects true/false, got '" + *v + "'");
+  return def;
 }
 
 std::string cli_flags::get_string(const std::string& name, const std::string& def) {
-  known_[name] = true;
-  const auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = lookup(name, def);
+  return v == nullptr ? def : *v;
 }
 
 void cli_flags::finish() const {
-  for (const auto& [name, used] : known_) {
-    if (!used) throw std::invalid_argument("cli_flags: unknown flag --" + name);
-  }
+  std::vector<std::string> errors = errors_;
+  for (const auto& [name, value] : values_)
+    if (accepted_.count(name) == 0) errors.push_back("unknown flag --" + name);
+  if (errors.empty()) return;
+  for (const std::string& e : errors) std::cerr << program_ << ": " << e << "\n";
+  std::cerr << "accepted flags:";
+  for (const auto& [name, def] : accepted_) std::cerr << " --" << name << "=" << def;
+  std::cerr << "\n";
+  std::exit(2);
 }
 
 }  // namespace subcover

@@ -1,20 +1,19 @@
-// radix_sort — linear-time sorts for query_plan's u64 level frontier.
+// radix_sort — a linear-time sort for query_plan's u64 level frontier:
+// the cube lows of a Hilbert level, whose keys arrive in counting order.
+// (The runs are ranked by counting over chain lengths, not sorted.)
 //
-// Both primitives are LSD radix sorts over 8-bit digits that visit only the
+// sort_u64 is an LSD radix sort over 8-bit digits that visits only the
 // bits where the keys actually differ. One read pass ORs every key's XOR
 // with the first key; digits start at the lowest set bit of that mask, and
 // a digit the mask shows constant across the whole column is skipped
 // outright (no histogram, no scatter). So a level-i cube-low column — low
-// d*i bits zero, every key below 2^(d*k) — pays only for its varying bits,
-// and a run-extent column whose run lengths stay below 256 costs a single
-// scatter pass. Every pass is a stable counting sort, so the result is
-// exactly the comparison sort's: sort_u64 equals std::sort (equal keys are
-// indistinguishable), and argsort_u64 equals std::stable_sort of the index
-// permutation. At or below kSmallSort elements an insertion sort is cheaper
-// than the histogram set-up and gives the same output.
+// d*i bits zero, every key below 2^(d*k) — pays only for its varying bits.
+// Every pass is a stable counting sort, so the result equals std::sort's.
+// At or below kSmallSort elements an insertion sort is cheaper than the
+// histogram set-up and gives the same output.
 //
-// Scratch contract: callers own the scratch vectors and keep them across
-// calls; they only ever grow, so a warm caller allocates nothing (the
+// Scratch contract: callers own the scratch vector and keep it across
+// calls; it only ever grows, so a warm caller allocates nothing (the
 // histograms live on the stack).
 #pragma once
 
@@ -28,33 +27,22 @@ namespace subcover::radix {
 
 inline constexpr std::size_t kSmallSort = 32;
 
-enum class direction { ascending, descending };
-
-namespace detail {
-
-// Stably sorts data[0, n) by key(data[i]) in `dir` order: insertion sort
-// at or below kSmallSort, else one LSD counting-sort pass per varying
-// 8-bit digit. scratch is grown to n.
-template <class T, class Key>
-void stable_sort_by(T* data, std::size_t n, direction dir, std::vector<T>& scratch, Key key) {
+// Sorts keys[0, n) ascending in place: insertion sort at or below
+// kSmallSort, else one LSD counting-sort pass per varying 8-bit digit.
+// scratch is grown to n.
+inline void sort_u64(std::uint64_t* keys, std::size_t n, std::vector<std::uint64_t>& scratch) {
   if (n <= kSmallSort) {
     for (std::size_t i = 1; i < n; ++i) {
-      const T v = data[i];
-      const std::uint64_t k = key(v);
+      const std::uint64_t k = keys[i];
       std::size_t j = i;
-      for (; j > 0; --j) {
-        const std::uint64_t prev = key(data[j - 1]);
-        if (dir == direction::ascending ? !(k < prev) : !(prev < k)) break;
-        data[j] = data[j - 1];
-      }
-      data[j] = v;
+      for (; j > 0 && k < keys[j - 1]; --j) keys[j] = keys[j - 1];
+      keys[j] = k;
     }
     return;
   }
   // The digits that vary somewhere in the column, lowest first.
-  const std::uint64_t k0 = key(data[0]);
   std::uint64_t diff = 0;
-  for (std::size_t i = 1; i < n; ++i) diff |= key(data[i]) ^ k0;
+  for (std::size_t i = 1; i < n; ++i) diff |= keys[i] ^ keys[0];
   if (diff == 0) return;
   int shifts[8];
   int passes = 0;
@@ -63,49 +51,24 @@ void stable_sort_by(T* data, std::size_t n, direction dir, std::vector<T>& scrat
 
   std::size_t count[8][256];
   for (int p = 0; p < passes; ++p) std::fill(count[p], count[p] + 256, std::size_t{0});
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = key(data[i]);
-    for (int p = 0; p < passes; ++p) ++count[p][(k >> shifts[p]) & 0xff];
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (int p = 0; p < passes; ++p) ++count[p][(keys[i] >> shifts[p]) & 0xff];
   if (scratch.size() < n) scratch.resize(n);
-  T* src = data;
-  T* dst = scratch.data();
+  std::uint64_t* src = keys;
+  std::uint64_t* dst = scratch.data();
   for (int p = 0; p < passes; ++p) {
-    // Per-digit counts -> scatter offsets, in `dir` order.
+    // Per-digit counts -> scatter offsets.
     std::size_t sum = 0;
-    for (int b = 0; b < 256; ++b) {
-      std::size_t& c = count[p][dir == direction::ascending ? b : 255 - b];
+    for (std::size_t& c : count[p]) {
       const std::size_t digits = c;
       c = sum;
       sum += digits;
     }
     const int s = shifts[p];
-    for (std::size_t i = 0; i < n; ++i) {
-      const T v = src[i];
-      dst[count[p][(key(v) >> s) & 0xff]++] = v;
-    }
+    for (std::size_t i = 0; i < n; ++i) dst[count[p][(src[i] >> s) & 0xff]++] = src[i];
     std::swap(src, dst);
   }
-  if (src != data) std::copy(src, src + n, data);
-}
-
-}  // namespace detail
-
-// Sorts keys[0, n) ascending in place; scratch is grown to n.
-inline void sort_u64(std::uint64_t* keys, std::size_t n, std::vector<std::uint64_t>& scratch) {
-  detail::stable_sort_by(keys, n, direction::ascending, scratch,
-                         [](std::uint64_t k) { return k; });
-}
-
-// order := the permutation of [0, n) listing keys[] in `dir` order, stably
-// (equal keys keep ascending index order). Requires n <= UINT32_MAX;
-// scratch is grown to n.
-inline void argsort_u64(const std::uint64_t* keys, std::size_t n, direction dir,
-                        std::vector<std::uint32_t>& order, std::vector<std::uint32_t>& scratch) {
-  order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  detail::stable_sort_by(order.data(), n, dir, scratch,
-                         [keys](std::uint32_t i) { return keys[i]; });
+  if (src != keys) std::copy(src, src + n, keys);
 }
 
 }  // namespace subcover::radix

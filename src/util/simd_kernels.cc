@@ -18,32 +18,6 @@ namespace subcover::simd {
 
 namespace scalar {
 
-std::uint64_t min_u64(const std::uint64_t* v, std::size_t n) {
-  std::uint64_t m = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < n; ++i) m = std::min(m, v[i]);
-  return m;
-}
-
-std::uint64_t max_u64(const std::uint64_t* v, std::size_t n) {
-  std::uint64_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, v[i]);
-  return m;
-}
-
-std::uint64_t sum_u64(const std::uint64_t* v, std::size_t n) {
-  std::uint64_t s = 0;
-  for (std::size_t i = 0; i < n; ++i) s += v[i];
-  return s;
-}
-
-void prefix_sum_u64(const std::uint64_t* in, std::uint64_t* out, std::size_t n) {
-  std::uint64_t s = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    s += in[i];
-    out[i] = s;
-  }
-}
-
 void sub_u64(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
              std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
@@ -178,17 +152,7 @@ SUBCOVER_TGT inline __m128i loadu32(const std::uint32_t* p) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-}  // namespace
-
-SUBCOVER_TGT std::uint64_t min_u64(const std::uint64_t* v, std::size_t n) {
-  std::size_t i = 0;
-  __m128i acc = _mm_set1_epi64x(-1);
-  for (; i + 2 <= n; i += 2) acc = min_u64v(acc, loadu(v + i));
-  std::uint64_t m = std::min(lane0(acc), lane1(acc));
-  for (; i < n; ++i) m = std::min(m, v[i]);
-  return m;
-}
-
+// Largest lane (0 if empty): the head scan's first pass.
 SUBCOVER_TGT std::uint64_t max_u64(const std::uint64_t* v, std::size_t n) {
   std::size_t i = 0;
   __m128i acc = _mm_setzero_si128();
@@ -198,31 +162,7 @@ SUBCOVER_TGT std::uint64_t max_u64(const std::uint64_t* v, std::size_t n) {
   return m;
 }
 
-SUBCOVER_TGT std::uint64_t sum_u64(const std::uint64_t* v, std::size_t n) {
-  std::size_t i = 0;
-  __m128i acc = _mm_setzero_si128();
-  for (; i + 2 <= n; i += 2) acc = _mm_add_epi64(acc, loadu(v + i));
-  std::uint64_t s = lane0(acc) + lane1(acc);
-  for (; i < n; ++i) s += v[i];
-  return s;
-}
-
-SUBCOVER_TGT void prefix_sum_u64(const std::uint64_t* in, std::uint64_t* out, std::size_t n) {
-  std::size_t i = 0;
-  __m128i carry = _mm_setzero_si128();
-  for (; i + 2 <= n; i += 2) {
-    __m128i x = loadu(in + i);
-    x = _mm_add_epi64(x, _mm_slli_si128(x, 8));  // [x0, x0+x1]
-    x = _mm_add_epi64(x, carry);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), x);
-    carry = _mm_shuffle_epi32(x, 0xEE);  // broadcast the high u64 lane
-  }
-  std::uint64_t s = lane0(carry);
-  for (; i < n; ++i) {
-    s += in[i];
-    out[i] = s;
-  }
-}
+}  // namespace
 
 SUBCOVER_TGT void sub_u64(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
                           std::size_t n) {
@@ -437,7 +377,7 @@ SUBCOVER_TGT std::size_t coalesce_cubes_u64(const std::uint64_t* lo, std::size_t
 
 // ---- AVX2 backend -----------------------------------------------------------
 // Four u64 lanes (eight u32 lanes) per step; same sign-flip compares, plus
-// lane-crossing permutes for the prefix/suffix scans.
+// lane-crossing permutes for the suffix scan.
 
 namespace avx2 {
 
@@ -475,17 +415,7 @@ SUBCOVER_TGT inline std::uint64_t hmax(__m256i v) {
   return std::max(std::max(w[0], w[1]), std::max(w[2], w[3]));
 }
 
-}  // namespace
-
-SUBCOVER_TGT std::uint64_t min_u64(const std::uint64_t* v, std::size_t n) {
-  std::size_t i = 0;
-  __m256i acc = _mm256_set1_epi64x(-1);
-  for (; i + 4 <= n; i += 4) acc = min_u64v(acc, loadu(v + i));
-  std::uint64_t m = hmin(acc);
-  for (; i < n; ++i) m = std::min(m, v[i]);
-  return m;
-}
-
+// Largest lane (0 if empty): the head scan's first pass.
 SUBCOVER_TGT std::uint64_t max_u64(const std::uint64_t* v, std::size_t n) {
   std::size_t i = 0;
   __m256i acc = _mm256_setzero_si256();
@@ -495,66 +425,7 @@ SUBCOVER_TGT std::uint64_t max_u64(const std::uint64_t* v, std::size_t n) {
   return m;
 }
 
-SUBCOVER_TGT std::uint64_t sum_u64(const std::uint64_t* v, std::size_t n) {
-  std::size_t i = 0;
-  __m256i acc = _mm256_setzero_si256();
-  for (; i + 4 <= n; i += 4) acc = _mm256_add_epi64(acc, loadu(v + i));
-  alignas(32) std::uint64_t w[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(w), acc);
-  std::uint64_t s = w[0] + w[1] + w[2] + w[3];
-  for (; i < n; ++i) s += v[i];
-  return s;
-}
-
-// In-register inclusive scan of 4 u64 lanes: within each 128-bit half,
-// then the low half's total (lane 1 after the first step) added into the
-// high half.
-SUBCOVER_TGT inline __m256i scan4_u64(__m256i x) {
-  x = _mm256_add_epi64(x, _mm256_slli_si256(x, 8));
-  const __m256i low_total = _mm256_permute4x64_epi64(x, 0x55);  // broadcast lane 1
-  return _mm256_add_epi64(x, _mm256_blend_epi32(_mm256_setzero_si256(), low_total, 0xF0));
-}
-
-SUBCOVER_TGT void prefix_sum_u64(const std::uint64_t* in, std::uint64_t* out, std::size_t n) {
-  __m256i carry = _mm256_setzero_si256();
-  std::size_t i = 0;
-  // 16-lane blocks: the four vector scans are independent, and the block
-  // totals chain through plain adds, so the loop-carried dependency is one
-  // add per 16 lanes instead of a permute + add per 4 — the vector-vs-
-  // scalar win comes from breaking that latency chain, not lane width (a
-  // scalar scan is also one add per lane).
-  for (; i + 16 <= n; i += 16) {
-    const __m256i x0 = scan4_u64(loadu(in + i));
-    const __m256i x1 = scan4_u64(loadu(in + i + 4));
-    const __m256i x2 = scan4_u64(loadu(in + i + 8));
-    const __m256i x3 = scan4_u64(loadu(in + i + 12));
-    const __m256i t0 = _mm256_permute4x64_epi64(x0, 0xFF);  // block totals
-    const __m256i t1 = _mm256_permute4x64_epi64(x1, 0xFF);
-    const __m256i t2 = _mm256_permute4x64_epi64(x2, 0xFF);
-    const __m256i t3 = _mm256_permute4x64_epi64(x3, 0xFF);
-    const __m256i o2 = _mm256_add_epi64(t0, t1);
-    const __m256i o3 = _mm256_add_epi64(o2, t2);
-    const __m256i o4 = _mm256_add_epi64(o3, t3);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm256_add_epi64(x0, carry));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4),
-                        _mm256_add_epi64(x1, _mm256_add_epi64(t0, carry)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 8),
-                        _mm256_add_epi64(x2, _mm256_add_epi64(o2, carry)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 12),
-                        _mm256_add_epi64(x3, _mm256_add_epi64(o3, carry)));
-    carry = _mm256_add_epi64(carry, o4);  // the only loop-carried add
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = _mm256_add_epi64(scan4_u64(loadu(in + i)), carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-    carry = _mm256_permute4x64_epi64(x, 0xFF);  // broadcast lane 3
-  }
-  std::uint64_t s = static_cast<std::uint64_t>(_mm256_extract_epi64(carry, 0));
-  for (; i < n; ++i) {
-    s += in[i];
-    out[i] = s;
-  }
-}
+}  // namespace
 
 SUBCOVER_TGT void sub_u64(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
                           std::size_t n) {
@@ -789,12 +660,6 @@ SUBCOVER_TGT std::size_t coalesce_cubes_u64(const std::uint64_t* lo, std::size_t
 
 #define SUBCOVER_FWD_BACKEND(ns)                                                               \
   namespace ns {                                                                               \
-  std::uint64_t min_u64(const std::uint64_t* v, std::size_t n) { return scalar::min_u64(v, n); } \
-  std::uint64_t max_u64(const std::uint64_t* v, std::size_t n) { return scalar::max_u64(v, n); } \
-  std::uint64_t sum_u64(const std::uint64_t* v, std::size_t n) { return scalar::sum_u64(v, n); } \
-  void prefix_sum_u64(const std::uint64_t* in, std::uint64_t* out, std::size_t n) {            \
-    scalar::prefix_sum_u64(in, out, n);                                                        \
-  }                                                                                            \
   void sub_u64(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,             \
                std::size_t n) {                                                                \
     scalar::sub_u64(a, b, out, n);                                                             \

@@ -22,7 +22,7 @@
 // same answer, same index, same tie-break as its scalar reference on every
 // input (including empty, single-lane, odd-length tails and duplicate
 // lanes). That is what lets query_plan keep its byte-identity guarantees
-// while swapping implementations per dominance_options::simd.
+// whichever tier the process dispatches to.
 #pragma once
 
 #include <cstddef>
@@ -37,14 +37,6 @@ namespace subcover::simd {
 // identical answers. See the scalar definitions in simd_kernels.cc for the
 // reference semantics of each primitive.
 #define SUBCOVER_SIMD_KERNEL_SET                                                             \
-  /* Reductions over u64 lanes. Empty input: min -> UINT64_MAX, max -> 0,                    \
-     sum -> 0. sum wraps mod 2^64 exactly like the scalar loop. */                           \
-  [[nodiscard]] std::uint64_t min_u64(const std::uint64_t* v, std::size_t n);                \
-  [[nodiscard]] std::uint64_t max_u64(const std::uint64_t* v, std::size_t n);                \
-  [[nodiscard]] std::uint64_t sum_u64(const std::uint64_t* v, std::size_t n);                \
-  /* Inclusive prefix sum (out[i] = in[0] + ... + in[i], mod 2^64).                          \
-     in == out is allowed. */                                                                \
-  void prefix_sum_u64(const std::uint64_t* in, std::uint64_t* out, std::size_t n);           \
   /* out[i] = a[i] - b[i] (mod 2^64); any aliasing of out with a/b is fine. */               \
   void sub_u64(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,           \
                std::size_t n);                                                               \
@@ -120,18 +112,6 @@ SUBCOVER_SIMD_KERNEL_SET
   }                                                        \
   return scalar::call
 
-[[nodiscard]] inline std::uint64_t min_u64(const std::uint64_t* v, std::size_t n) {
-  SUBCOVER_SIMD_DISPATCH(min_u64(v, n));
-}
-[[nodiscard]] inline std::uint64_t max_u64(const std::uint64_t* v, std::size_t n) {
-  SUBCOVER_SIMD_DISPATCH(max_u64(v, n));
-}
-[[nodiscard]] inline std::uint64_t sum_u64(const std::uint64_t* v, std::size_t n) {
-  SUBCOVER_SIMD_DISPATCH(sum_u64(v, n));
-}
-inline void prefix_sum_u64(const std::uint64_t* in, std::uint64_t* out, std::size_t n) {
-  SUBCOVER_SIMD_DISPATCH(prefix_sum_u64(in, out, n));
-}
 inline void sub_u64(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
                     std::size_t n) {
   SUBCOVER_SIMD_DISPATCH(sub_u64(a, b, out, n));

@@ -189,6 +189,30 @@ TEST(Wal, InflatedRecordCountThrowsWalError) {
   }
 }
 
+TEST(Wal, WrappingRangeDeltaThrowsWalError) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // kind, op, from (zigzag), seq, id, then one attribute [lo = 5, hi = lo +
+  // delta] and no forwarded links.
+  std::vector<std::uint8_t> payload = {1, 7, 0, 0, 42, 1, 5};
+  codec::put_varint(payload, kMax);  // hi would wrap to 4
+  payload.push_back(0);
+  broker_wal wal;
+  wal.log_store().replace(codec::frame(payload));
+  EXPECT_THROW((void)wal.recover(), wal_error);
+
+  // The full range [0, 2^64 - 1] still round-trips.
+  wal_record full;
+  full.k = wal_record::kind::subscribe;
+  full.op = 7;
+  full.from = kLocalLink;
+  full.id = 42;
+  full.body = subscription::from_raw_ranges({{0, kMax}});
+  full.forwarded_links = {1};
+  broker_wal ok;
+  ok.append(full);
+  EXPECT_EQ(ok.recover().records, std::vector<wal_record>{full});
+}
+
 TEST(Wal, FileStoreRoundTripAndCompaction) {
   const schema s = two_attr_schema();
   const std::string dir = ::testing::TempDir() + "subcover_wal_test";

@@ -354,6 +354,27 @@ TEST(WireTest, InflatedIdListCountThrowsWireError) {
             (std::vector<sub_id>{5, 10}));
 }
 
+TEST(WireTest, WrappingRangeDeltaThrowsWireError) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // subscribe: op, seq, id, then one attribute [lo = 5, hi = lo + delta].
+  const std::vector<std::uint8_t> head = {static_cast<std::uint8_t>(msg_type::subscribe),
+                                          1, 0, 42, 1, 5};
+  std::vector<std::uint8_t> wraps = head;
+  codec::put_varint(wraps, kMax);  // hi would wrap to 4
+  EXPECT_THROW((void)decode_msg(wraps.data(), wraps.size()), wire_error);
+
+  std::vector<std::uint8_t> fits = head;
+  codec::put_varint(fits, kMax - 5);  // hi == 2^64 - 1 exactly
+  EXPECT_EQ(decode_msg(fits.data(), fits.size()).body.range(0), (attr_range{5, kMax}));
+
+  // The full range [0, 2^64 - 1] still round-trips.
+  wire_msg full;
+  full.type = msg_type::subscribe;
+  full.body = subscription::from_raw_ranges({{0, kMax}, {7, 7}});
+  const auto bytes = encode_msg(full);
+  EXPECT_EQ(decode_msg(bytes.data(), bytes.size()).body, full.body);
+}
+
 // decode_msg on payloads the frame checksum would have rejected: every
 // sample payload truncated at every length, with a huge varint spliced in
 // at every byte (inflating whatever count or field sits there), and with

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 namespace subcover {
 namespace {
 
@@ -39,28 +37,41 @@ TEST(CliFlags, BoolExplicit) {
   EXPECT_FALSE(f.get_bool("d", true));
 }
 
+// Usage errors surface at finish(): the message and the accepted flags go
+// to stderr and the process exits with status 2. A malformed value reads as
+// the default until then.
 TEST(CliFlags, RejectsBadInt) {
   auto f = make({"--n=12x"});
-  EXPECT_THROW(f.get_int("n", 0), std::invalid_argument);
+  EXPECT_EQ(f.get_int("n", 3), 3);
+  EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2),
+              "--n expects an integer, got '12x'(.|\n)*accepted flags: --n=3");
 }
 
 TEST(CliFlags, RejectsBadDouble) {
   auto f = make({"--eps=abc"});
-  EXPECT_THROW(f.get_double("eps", 0), std::invalid_argument);
+  EXPECT_EQ(f.get_double("eps", 0.5), 0.5);
+  EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2), "--eps expects a number");
 }
 
 TEST(CliFlags, RejectsBadBool) {
   auto f = make({"--v=yes"});
-  EXPECT_THROW(f.get_bool("v", false), std::invalid_argument);
+  EXPECT_FALSE(f.get_bool("v", false));
+  EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2), "--v expects true/false");
 }
 
 TEST(CliFlags, RejectsNonFlagArgument) {
-  EXPECT_THROW(make({"positional"}), std::invalid_argument);
+  // "--workers 4": the flag reads as bare boolean true, "4" as a stray word.
+  auto f = make({"--workers", "4"});
+  (void)f.get_string("workers", "0");
+  EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2),
+              "expected --name\\[=value\\], got '4'(.|\n)*accepted flags: --workers=0");
 }
 
 TEST(CliFlags, FinishRejectsUnknownFlags) {
   auto f = make({"--unknown=1"});
-  EXPECT_THROW(f.finish(), std::invalid_argument);
+  (void)f.get_bool("csv", false);
+  EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2),
+              "unknown flag --unknown(.|\n)*accepted flags: --csv=false");
 }
 
 TEST(CliFlags, NegativeNumbers) {
