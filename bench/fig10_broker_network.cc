@@ -38,10 +38,6 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const int subs = static_cast<int>(flags.get_int("subs", 1200));
   const int events = static_cast<int>(flags.get_int("events", 250));
-  // 0 = deterministic sequential engine; >= 1 = sharded parallel engine on
-  // that many workers (identical results and metric totals either way —
-  // only the wall clock moves).
-  const int workers = static_cast<int>(flags.get_int("workers", 0));
   flags.finish();
 
   bench::banner("E10", "Broker network: covering modes end to end",
@@ -80,7 +76,6 @@ int main(int argc, char** argv) {
     o.use_covering = m.use_covering;
     o.epsilon = m.epsilon;
     o.factory = m.factory;
-    o.workers = workers;
     network net(topology::balanced_tree(2, 3), s, o);
 
     workload::subscription_gen_options wo;
@@ -129,9 +124,6 @@ int main(int argc, char** argv) {
   }
   std::cout << (csv ? table.to_csv() : table.to_string());
   bench::note("* sfc exhaustive = epsilon 0 within the cube budget (degenerate regions settle).");
-  bench::note("engine: " + (workers == 0 ? std::string("deterministic sequential FIFO")
-                                         : "parallel, " + std::to_string(workers) + " workers") +
-              " (results and metric totals are engine-independent)");
 
   track.check(exact_msgs < flood_msgs, "exact covering reduces subscription traffic");
   track.check(approx05_msgs < flood_msgs, "approximate covering reduces subscription traffic");

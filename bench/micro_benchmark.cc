@@ -437,17 +437,15 @@ BENCHMARK(BM_ProbeFrontier)
     ->ArgPair(1, 0)
     ->ArgPair(1, 1);
 
-// Broker-network covering-check throughput under the sharded parallel
-// engine: the fig10 workload (15-broker balanced tree, clustered uniform
-// subscriptions, SFC covering indexes) driven through network::subscribe,
-// at a sweep of worker counts. Arg: workers (0 = the deterministic
-// sequential FIFO engine — the baseline the parallel sweep is judged
-// against). The per-iteration time covers one whole subscription workload;
-// items processed = covering checks performed, so the rate column is the
-// headline checks/sec number. Network construction and workload generation
-// are excluded via pause/resume.
+// Broker-network covering-check throughput: the fig10 workload (15-broker
+// balanced tree, clustered uniform subscriptions, SFC covering indexes)
+// driven through network::subscribe on the deterministic FIFO engine. The
+// per-iteration time covers one whole subscription workload; items
+// processed = covering checks performed, so the rate column is the headline
+// checks/sec number. Network construction and workload generation are
+// excluded via pause/resume. The single Arg(0) keeps the archived name
+// BM_NetworkThroughput/0/real_time that the regression gate compares.
 void BM_NetworkThroughput(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
   const schema s = workload::make_uniform_schema(2, 8);
   constexpr int kSubs = 300;
   std::uint64_t checks = 0;
@@ -456,15 +454,13 @@ void BM_NetworkThroughput(benchmark::State& state) {
     network_options o;
     o.use_covering = true;
     o.epsilon = 0.05;
-    o.workers = workers;
     o.factory = [](const schema& sc) {
       sfc_covering_options so;
       so.max_cubes = 8192;
       return std::make_unique<sfc_covering_index>(sc, so);
     };
-    // std::optional so teardown (joining the pool, destroying every
-    // per-link covering index) happens under PauseTiming too — otherwise
-    // higher worker counts would be charged for joining more threads.
+    // std::optional so teardown (destroying every per-link covering index)
+    // happens under PauseTiming too.
     std::optional<network> net;
     net.emplace(topology::balanced_tree(2, 3), s, o);
     workload::subscription_gen_options wo;
@@ -490,10 +486,6 @@ void BM_NetworkThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkThroughput)
     ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

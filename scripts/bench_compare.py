@@ -12,10 +12,10 @@ is compared against BASELINE; the script exits non-zero if any benchmark is
 more than THRESHOLD slower (default +10%). Throughput benchmarks — those
 reporting items_per_second, e.g. the BM_NetworkThroughput family, whose
 per-iteration real_time tracks a whole workload rather than one op — are
-gated on items/sec instead: a drop of more than THRESHOLD fails. Single
-benchmarks present in only one file are reported but do not fail the run,
-so adding or retiring an argument of a family does not break CI.
-Improvements are reported for the perf trajectory.
+gated on items/sec instead: a drop of more than THRESHOLD fails. A
+benchmark present only in BASELINE is reported as retired and does not
+fail the run; one present only in CURRENT fails it (see baseline coverage
+below). Improvements are reported for the perf trajectory.
 
 Bytes gating: benchmarks reporting a `bytes_per_sub` counter (the
 BM_MemoryFootprint family) are additionally gated on that counter — growth
@@ -32,12 +32,13 @@ with PREFIX. A family that silently stops being built (a glob miss, an
 unnoticed — --require pins the families CI depends on, e.g. --require
 BM_RecoveryReplay.
 
-Baseline coverage: every family in CURRENT (the benchmark name up to its
-first '/') must also appear in BASELINE, or its timings are compared
-against nothing. A truncated baseline — a filtered run committed as the
-archive — therefore fails the gate instead of passing it vacuously.
-`--allow-new PREFIX` (repeatable) is the explicit opt-out for families a
-change adds before the archive is refreshed.
+Baseline coverage: every benchmark in CURRENT must also appear in
+BASELINE under the same name, or its timings are compared against nothing.
+A truncated baseline — a filtered run committed as the archive, or one
+that lacks a single argument of a family (BM_ChurnErase/1000000/1 while
+BM_ChurnErase/1000/1 is present) — therefore fails the gate instead of
+passing it vacuously. `--allow-new PREFIX` (repeatable) is the explicit
+opt-out for benchmarks a change adds before the archive is refreshed.
 
 Compression floor: within CURRENT alone, each BM_MemoryFootprint width pair
 (`.../<bits>/0` = materialized resident array, `.../<bits>/1` = compressed
@@ -80,18 +81,11 @@ def load(path):
     return out
 
 
-def family(name):
-    return name.split("/", 1)[0]
-
-
 def gate_baseline_coverage(base, cur, required, allow_new):
-    """Families CURRENT has (plus the required prefixes) that BASELINE
+    """Benchmarks CURRENT has (plus the required prefixes) that BASELINE
     lacks, excluding those matching an --allow-new prefix."""
-    base_families = {family(n) for n in base}
     missing = {
-        f
-        for f in (family(n) for n in cur)
-        if f not in base_families and not any(f.startswith(p) for p in allow_new)
+        n for n in cur if n not in base and not any(n.startswith(p) for p in allow_new)
     }
     missing.update(
         p
@@ -269,8 +263,8 @@ def main():
         action="append",
         default=[],
         metavar="PREFIX",
-        help="families starting with PREFIX may be absent from BASELINE "
-        "(repeatable; for families a change adds before re-archiving)",
+        help="benchmarks starting with PREFIX may be absent from BASELINE "
+        "(repeatable; for benchmarks a change adds before re-archiving)",
     )
     args = parser.parse_args()
 
@@ -344,8 +338,8 @@ def main():
     if missing_baseline:
         failed = True
         print(
-            f"\nFAIL: {len(missing_baseline)} famil(ies) absent from the baseline "
-            f"{args.baseline} (truncated archive? --allow-new PREFIX for new families):",
+            f"\nFAIL: {len(missing_baseline)} benchmark(s) absent from the baseline "
+            f"{args.baseline} (truncated archive? --allow-new PREFIX for new benchmarks):",
             file=sys.stderr,
         )
         for name in missing_baseline:

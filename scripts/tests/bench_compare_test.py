@@ -77,6 +77,17 @@ class BaselineCoverageTest(unittest.TestCase):
         )
         self.assertEqual(r.returncode, 0, r.stderr)
 
+    def test_baseline_missing_one_argument_fails(self):
+        # The family is present in the baseline, but not at every argument:
+        # the million-subscription run would be compared against nothing.
+        full = [bench("BM_ChurnErase/1000/1"), bench("BM_ChurnErase/1000000/1")]
+        r = self.run_gate(full[:1], full)
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("absent from the baseline", r.stderr)
+        self.assertIn("BM_ChurnErase/1000000/1", r.stderr)
+        r = self.run_gate(full[:1], full, "--allow-new", "BM_ChurnErase/1000000")
+        self.assertEqual(r.returncode, 0, r.stderr)
+
     def test_retired_family_still_passes(self):
         # Dropping a family from the current run is not a coverage hole.
         r = self.run_gate(FULL, TRUNCATED)

@@ -3,7 +3,6 @@
 #include <exception>
 #include <stdexcept>
 
-#include "broker/worker_pool.h"
 #include "util/check.h"
 
 namespace subcover {
@@ -65,100 +64,27 @@ bool broker::covered_on_shard(const link_shard& shard, const subscription& s,
   return hit.has_value();
 }
 
-bool broker::subscribe_on_shard(link_shard& shard, sub_id id, const subscription& s,
-                                network_metrics& metrics) {
-  if (options_.use_covering && covered_on_shard(shard, s, metrics)) return false;
-  shard.index->insert(id, s);
-  shard.forwarded.emplace(id, s);
-  return true;
-}
-
-broker::shard_unsubscribe_result broker::unsubscribe_on_shard(link_shard& shard, int link,
-                                                              sub_id id,
-                                                              network_metrics& metrics) {
-  shard_unsubscribe_result result;
-  const auto it = shard.forwarded.find(id);
-  if (it == shard.forwarded.end()) return result;  // was suppressed on this link
-  // Withdraw the subscription downstream.
-  shard.index->erase(id);
-  shard.forwarded.erase(it);
-  result.forward = true;
-  // Subscriptions whose forward was suppressed because of (possibly) this
-  // one may now be uncovered; re-check every active, unforwarded
-  // subscription and re-forward the ones no longer covered. Reads only the
-  // routing table (shared, unmodified during the per-shard fan-out) and
-  // this shard.
-  for (const auto& [other_id, other_sub] : table_.subs_not_from(link)) {
-    if (other_id == id) continue;
-    if (shard.forwarded.count(other_id) > 0) continue;  // already forwarded
-    if (options_.use_covering && covered_on_shard(shard, other_sub, metrics)) continue;
-    shard.index->insert(other_id, other_sub);
-    shard.forwarded.emplace(other_id, other_sub);
-    result.reforwards.push_back({other_id, other_sub});
-  }
-  return result;
-}
-
 broker::subscribe_action broker::handle_subscribe(int from_link, sub_id id,
                                                   const subscription& s,
                                                   network_metrics& metrics) {
   table_.add(from_link, id, s);
   subscribe_action action;
-  // Attempt every shard even if one throws — the same attempt-every-index
-  // contract as worker_pool::run_batch, so the serial and parallel handlers
-  // leave identical shard state on failure. First error rethrown after.
+  // Attempt every shard even if one throws: a failing covering check on one
+  // link must not cost a clean link its forward. First error rethrown after.
   std::exception_ptr first_error;
   for (const int link : links_) {
     if (link == from_link) continue;
     try {
-      if (subscribe_on_shard(shards_.at(link), id, s, metrics))
-        action.forward_links.push_back(link);
+      link_shard& shard = shards_.at(link);
+      if (options_.use_covering && covered_on_shard(shard, s, metrics)) continue;
+      shard.index->insert(id, s);
+      shard.forwarded.emplace(id, s);
+      action.forward_links.push_back(link);
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-  return action;
-}
-
-void broker::collect_targets(int from_link) {
-  targets_.clear();
-  target_links_.clear();
-  for (const int link : links_) {
-    if (link == from_link) continue;
-    targets_.push_back(&shards_.at(link));
-    target_links_.push_back(link);
-  }
-  delta_scratch_.assign(targets_.size(), network_metrics{});
-}
-
-broker::subscribe_action broker::handle_subscribe_parallel(int from_link, sub_id id,
-                                                           const subscription& s,
-                                                           network_metrics& metrics,
-                                                           worker_pool& pool) {
-  table_.add(from_link, id, s);
-  // Shard fan-out: job i owns exactly targets_[i]'s shard plus slot i of
-  // the result scratch; the merge below runs on this thread in link order,
-  // so the action and the metric totals match the serial handler exactly.
-  collect_targets(from_link);
-  forward_scratch_.assign(targets_.size(), 0);
-  // run_batch attempts every index even when one throws; fold the per-shard
-  // metric deltas BEFORE rethrowing so the totals match the serial handler's
-  // accumulate-as-you-go exactly on the failure path too.
-  std::exception_ptr error;
-  try {
-    pool.run_batch(targets_.size(), [&](std::size_t i) {
-      forward_scratch_[i] = subscribe_on_shard(*targets_[i], id, s, delta_scratch_[i]) ? 1 : 0;
-    });
-  } catch (...) {
-    error = std::current_exception();
-  }
-  subscribe_action action;
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    metrics += delta_scratch_[i];
-    if (forward_scratch_[i] != 0) action.forward_links.push_back(target_links_[i]);
-  }
-  if (error) std::rethrow_exception(error);
   return action;
 }
 
@@ -171,10 +97,24 @@ broker::unsubscribe_action broker::handle_unsubscribe(int from_link, sub_id id,
   for (const int link : links_) {
     if (link == from_link) continue;
     try {
-      auto result = unsubscribe_on_shard(shards_.at(link), link, id, metrics);
-      if (!result.forward) continue;
+      link_shard& shard = shards_.at(link);
+      const auto it = shard.forwarded.find(id);
+      if (it == shard.forwarded.end()) continue;  // was suppressed on this link
+      // Withdraw the subscription downstream.
+      shard.index->erase(id);
+      shard.forwarded.erase(it);
       action.forward_links.push_back(link);
-      for (auto& rf : result.reforwards) action.reforwards.push_back({link, std::move(rf)});
+      // Subscriptions whose forward was suppressed because of (possibly)
+      // this one may now be uncovered; re-check every active, unforwarded
+      // subscription and re-forward the ones no longer covered.
+      for (const auto& [other_id, other_sub] : table_.subs_not_from(link)) {
+        if (other_id == id) continue;
+        if (shard.forwarded.count(other_id) > 0) continue;  // already forwarded
+        if (options_.use_covering && covered_on_shard(shard, other_sub, metrics)) continue;
+        shard.index->insert(other_id, other_sub);
+        shard.forwarded.emplace(other_id, other_sub);
+        action.reforwards.push_back({link, {other_id, other_sub}});
+      }
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
@@ -220,34 +160,6 @@ broker::unsubscribe_batch_action broker::handle_unsubscribe_batch(
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-  return action;
-}
-
-broker::unsubscribe_action broker::handle_unsubscribe_parallel(int from_link, sub_id id,
-                                                               network_metrics& metrics,
-                                                               worker_pool& pool) {
-  const bool removed = table_.remove(from_link, id);
-  SUBCOVER_CHECK(removed, "broker: unsubscribe for unknown subscription");
-  collect_targets(from_link);
-  unsub_scratch_.assign(targets_.size(), shard_unsubscribe_result{});
-  std::exception_ptr error;
-  try {
-    pool.run_batch(targets_.size(), [&](std::size_t i) {
-      unsub_scratch_[i] =
-          unsubscribe_on_shard(*targets_[i], target_links_[i], id, delta_scratch_[i]);
-    });
-  } catch (...) {
-    error = std::current_exception();
-  }
-  unsubscribe_action action;
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    metrics += delta_scratch_[i];
-    if (!unsub_scratch_[i].forward) continue;
-    action.forward_links.push_back(target_links_[i]);
-    for (auto& rf : unsub_scratch_[i].reforwards)
-      action.reforwards.push_back({target_links_[i], std::move(rf)});
-  }
-  if (error) std::rethrow_exception(error);
   return action;
 }
 

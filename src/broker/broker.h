@@ -17,20 +17,12 @@
 // uncover subscriptions whose forward to M was suppressed; those are
 // re-forwarded so that completeness is preserved.
 //
-// Link shards and parallelism: all forwarding state of one outgoing link —
-// its covering index, the bodies of the subscriptions forwarded over it,
-// and the covering-check scratch — lives in one `link_shard`. The per-link
-// work of subscription handling (covering check + shard mutation) touches
-// exactly one shard and never another, so the *_parallel handler variants
-// can fan the per-link loop out over a worker_pool: each shard job runs on
-// whatever worker claims it, writes only its own shard and its own slot of
-// the result scratch, and the merge back into the action (and into the
-// caller's network_metrics) happens on the calling thread in link order —
-// producing the identical action and identical metric totals as the serial
-// handlers, independent of worker count and scheduling. The serial handlers
-// remain the reference semantics (and the deterministic-mode code path).
-// One broker instance must still be driven by one thread at a time; the
-// network's per-broker inbox serialization provides that.
+// Link shards: all forwarding state of one outgoing link — its covering
+// index, the bodies of the subscriptions forwarded over it, and the
+// covering-check scratch — lives in one `link_shard`. The per-link work of
+// subscription handling (covering check + shard mutation) touches exactly
+// one shard and never another. The handlers attempt every shard even when
+// one throws, so a failing shard never stops a clean shard's forward.
 #pragma once
 
 #include <functional>
@@ -45,8 +37,6 @@
 #include "covering/covering_index.h"
 
 namespace subcover {
-
-class worker_pool;
 
 using covering_index_factory = std::function<std::unique_ptr<covering_index>(const schema&)>;
 
@@ -120,17 +110,6 @@ class broker {
   void handle_event(int from_link, const event& e, std::vector<int>& forwards,
                     std::vector<sub_id>& deliveries) const;
 
-  // Parallel variants: semantically identical to the serial handlers above
-  // (same action, same metric totals), with the per-link shard work fanned
-  // out over `pool` via run_batch. `metrics` must not be shared with any
-  // concurrently-running handler; the network gives each broker its own
-  // accumulator. The broker itself must not be re-entered while a parallel
-  // handler is in flight.
-  subscribe_action handle_subscribe_parallel(int from_link, sub_id id, const subscription& s,
-                                             network_metrics& metrics, worker_pool& pool);
-  unsubscribe_action handle_unsubscribe_parallel(int from_link, sub_id id,
-                                                 network_metrics& metrics, worker_pool& pool);
-
   // --- durability (broker/wal.h) ---------------------------------------
   // Full routing state at this instant: routing-table entries plus per-link
   // forwarded sets, ids ascending within each link.
@@ -160,7 +139,7 @@ class broker {
   [[nodiscard]] std::size_t routing_entries() const { return table_.total_entries(); }
   [[nodiscard]] std::size_t forwarded_to(int link) const;
   // Ids forwarded over `link`, ascending — the per-shard state the
-  // deterministic-vs-parallel equivalence tests compare.
+  // engine-equivalence tests compare.
   [[nodiscard]] std::vector<sub_id> forwarded_ids(int link) const;
   [[nodiscard]] const routing_table& table() const { return table_; }
   // Estimated bytes this broker holds: the routing table plus every link
@@ -169,18 +148,14 @@ class broker {
   [[nodiscard]] std::size_t memory_footprint() const;
 
  private:
-  // All forwarding state of one outgoing link. A shard is only ever touched
-  // by one thread at a time (the serial handlers by the broker's thread; the
-  // parallel handlers by whichever worker claimed the shard's batch index),
-  // so nothing in it is synchronized.
+  // All forwarding state of one outgoing link.
   struct link_shard {
     std::unique_ptr<covering_index> index;   // covering over forwarded subs
     std::map<sub_id, subscription> forwarded;  // bodies for re-forwarding
     // Scratch for covering checks on this shard: reused instead of
     // constructing stats per call (the covering index reuses its own
     // query-plan scratch underneath). Mutable so the logically-const check
-    // path can reuse it; shard-local so parallel checks on different links
-    // never share it.
+    // path can reuse it.
     mutable covering_check_stats scratch;
   };
 
@@ -188,24 +163,6 @@ class broker {
   // folds the check's accounting into `metrics`.
   bool covered_on_shard(const link_shard& shard, const subscription& s,
                         network_metrics& metrics) const;
-  // The subscribe-side work of one shard: check + insert-if-uncovered.
-  // Returns true if the subscription must be forwarded over the link.
-  // Touches only `shard` and `metrics`.
-  bool subscribe_on_shard(link_shard& shard, sub_id id, const subscription& s,
-                          network_metrics& metrics);
-  // The unsubscribe-side work of one shard: withdraw + re-forward newly
-  // uncovered subscriptions. `link` is the shard's link id (needed to skip
-  // subscriptions received over it). Touches only `shard`, `metrics` and
-  // the (read-only) routing table.
-  struct shard_unsubscribe_result {
-    bool forward = false;  // the unsubscription travels over this link
-    std::vector<std::pair<sub_id, subscription>> reforwards;
-  };
-  shard_unsubscribe_result unsubscribe_on_shard(link_shard& shard, int link, sub_id id,
-                                                network_metrics& metrics);
-  // Fills the fan-out scratch (targets_/target_links_) with every shard
-  // except `from_link`'s and sizes the per-shard delta slots.
-  void collect_targets(int from_link);
 
   int id_;
   schema schema_;
@@ -215,14 +172,6 @@ class broker {
   routing_table table_;
   // Per outgoing link: the link's shard (see link_shard).
   std::map<int, link_shard> shards_;
-  // Fan-out scratch for the parallel handlers, reused across messages (the
-  // broker is driven by one thread at a time, so one set suffices; batch
-  // job i writes only slot i). Kept warm like the per-shard check scratch.
-  std::vector<link_shard*> targets_;
-  std::vector<int> target_links_;
-  std::vector<std::uint8_t> forward_scratch_;
-  std::vector<network_metrics> delta_scratch_;
-  std::vector<shard_unsubscribe_result> unsub_scratch_;
 };
 
 }  // namespace subcover

@@ -67,10 +67,8 @@ struct network_metrics {
     deliveries = 0;
   }
 
-  // Field-wise sum: how the parallel network folds its per-broker
-  // accumulators into the network-wide totals. Because every increment of a
-  // run lands in exactly one accumulator and addition commutes, the folded
-  // totals are independent of worker count and scheduling.
+  // Field-wise sum: how the daemon and the benchmark harness total the
+  // per-broker metrics that each broker's dump reply carries.
   network_metrics& operator+=(const network_metrics& o);
 
   [[nodiscard]] std::string to_string() const;
@@ -85,7 +83,7 @@ struct network_metrics {
 // the injected fault schedule, not the logical computation) and the TCP
 // physical counters (reconnects, heartbeats_missed, bytes_on_wire,
 // partial_writes — they describe what the OS did to the stream). This is the
-// comparison the deterministic-vs-parallel and deterministic-vs-faults
+// comparison the deterministic-vs-faults and deterministic-vs-TCP
 // equivalence tests pin.
 [[nodiscard]] bool same_counters(const network_metrics& a, const network_metrics& b);
 

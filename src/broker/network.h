@@ -1,48 +1,27 @@
 // In-process simulation of a broker tree running covering-optimized
-// subscription propagation and reverse-path event routing, with three
-// execution engines (a fourth — real TCP sockets between one OS process
-// per broker, byte-identical converged state — lives in
-// broker/transport.h as the standalone broker_daemon):
+// subscription propagation and reverse-path event routing, with two
+// execution engines (a third — real TCP sockets between one OS process per
+// broker, byte-identical converged state — lives in broker/transport.h as
+// the standalone broker_daemon):
 //
-//   * Deterministic mode (workers == 0, the default): messages between
-//     brokers are processed from a single FIFO queue until quiescence on the
-//     calling thread — byte-identical to the original sequential simulation
-//     (same message order, same delivery order, same metrics).
+//   * Deterministic mode (the default): messages between brokers are
+//     processed from a single FIFO queue until quiescence on the calling
+//     thread — byte-identical to the original sequential simulation (same
+//     message order, same delivery order, same metrics).
 //
-//   * Parallel mode (workers >= 1): an async message loop over a fixed
-//     worker_pool. Every broker owns an MPSC inbox; a broker with pending
-//     messages is scheduled onto a worker, drains its inbox in FIFO order,
-//     and re-enqueues the resulting forwards/deliveries onto its neighbors'
-//     inboxes. Within one broker, the per-outgoing-link covering shards fan
-//     out across the pool (broker::handle_*_parallel). Each subscribe /
-//     unsubscribe / publish call still runs to quiescence before returning.
+//   * Faults mode (options.faults set): inter-broker messages travel through
+//     a seeded deterministic fault fabric — drop, duplicate, delay/reorder,
+//     broker crash-restart-from-WAL — with acks, bounded retransmission, and
+//     idempotent handling rebuilding exactly the deterministic-mode final
+//     state on top (broker/fault_engine.h).
 //
-//   * Faults mode (options.faults set; requires workers == 0): inter-broker
-//     messages travel through a seeded deterministic fault fabric — drop,
-//     duplicate, delay/reorder, broker crash-restart-from-WAL — with acks,
-//     bounded retransmission, and idempotent handling rebuilding exactly
-//     the deterministic-mode final state on top (broker/fault_engine.h).
-//
-// Parallel mode may reorder message processing across brokers, but on the
-// acyclic overlay every broker receives all of an operation's messages from
-// its unique neighbor toward the origin, in that neighbor's emission order —
-// so each broker consumes an identical message sequence under any schedule,
-// and the final routing tables, forwarded sets, delivered ids, and every
-// metric total are identical to deterministic mode for every worker count
-// (pinned by tests/broker/network_test.cc). Only wall-clock interleaving
-// and the covering_check_ns sum (a timer, not a counter) vary.
-//
-// The equivalence contract includes operations whose broker handlers throw:
-// every engine catches at its message-processing boundary (the sequential
-// FIFO pop, the parallel inbox drain), skips only the failing message's
-// forwards, completes every other in-flight message to quiescence, and
-// rethrows the first error to the caller. Within a broker, the per-shard
-// fan-out attempts every shard even when one throws (the serial loop
-// matches run_batch's attempt-every-index contract) and the parallel
-// handlers fold their per-shard metric deltas before rethrowing — so the
-// post-throw routing tables, forwarded sets, and metric totals are valid,
-// deterministic, and identical across engines and worker counts (which
-// failure is reported first is the only scheduling-dependent part).
+// A broker handler that throws fails only its own message: the FIFO catches
+// at each pop, skips that message's forwards, completes every other
+// in-flight message to quiescence, and rethrows the first error to the
+// caller. Within a broker, the per-shard loop attempts every shard even when
+// one throws (broker.h), so a clean shard's forward still happens and the
+// post-throw routing tables, forwarded sets, and metric totals are valid
+// and deterministic.
 //
 // The simulation preserves exactly the metrics the paper's motivation
 // concerns: subscription messages, routing table sizes, event traffic, and
@@ -68,23 +47,15 @@ struct network_options {
   // Factory for the per-link covering indexes; defaults to the paper's
   // SFC index (Z curve + skip list).
   covering_index_factory factory;
-  // 0 = deterministic sequential FIFO (the reference engine). >= 1 = async
-  // message loop on a worker pool of this size; covering checks overlap
-  // across links and brokers. Final state and metric totals are identical
-  // either way (see header comment).
-  int workers = 0;
   // Set = faults mode: inter-broker messages travel through the seeded
   // fault-injection fabric (broker/fault_engine.h) with per-broker WALs and
-  // crash recovery. Requires workers == 0 (the fabric is its own single-
-  // threaded virtual-time scheduler). Unset = the two engines above run
-  // byte-for-byte as before.
+  // crash recovery. Unset = the deterministic FIFO engine.
   std::optional<fault_options> faults;
 };
 
 class network {
  public:
   network(topology t, schema s, network_options options = {});
-  ~network();
   network(const network&) = delete;
   network& operator=(const network&) = delete;
 
@@ -111,7 +82,6 @@ class network {
   [[nodiscard]] std::size_t active_subscriptions() const { return owners_.size(); }
   [[nodiscard]] std::optional<int> owner_broker(sub_id id) const;
   [[nodiscard]] const schema& message_schema() const { return schema_; }
-  [[nodiscard]] int workers() const { return options_.workers; }
 
   // Faults mode only (throws std::logic_error otherwise): the broker's
   // durable write-ahead log, for inspection.
@@ -126,15 +96,6 @@ class network {
     int broker;
     subscription s;
   };
-  // The parallel engine (worker pool, per-broker inboxes, per-broker metric
-  // accumulators and delivery buffers). Null in deterministic mode.
-  struct async_state;
-  struct net_msg;
-
-  // Enqueues one initial message and blocks until the network is quiescent,
-  // then folds the per-broker metric accumulators into metrics_.
-  void run_async(int target_broker, net_msg msg);
-
   topology topology_;
   schema schema_;
   network_options options_;
@@ -146,7 +107,6 @@ class network {
   // (broker, arrival link) hops and handle_event's forward links.
   std::vector<std::pair<int, int>> publish_fifo_;
   std::vector<int> publish_forwards_;
-  std::unique_ptr<async_state> async_;
   // The fault-injection executor; null unless options_.faults is set.
   std::unique_ptr<fault_engine> faults_;
 };

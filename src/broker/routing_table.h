@@ -63,7 +63,7 @@ class routing_table {
   [[nodiscard]] std::size_t memory_footprint() const;
 
   // Full-state equality (same links, same ids, same subscription bodies) —
-  // what the deterministic-vs-parallel network equivalence tests compare.
+  // what the engine-equivalence and recovery tests compare.
   friend bool operator==(const routing_table&, const routing_table&) = default;
 
  private:

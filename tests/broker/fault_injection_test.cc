@@ -201,13 +201,6 @@ TEST(FaultInjection, RetryExhaustionThrows) {
   EXPECT_THROW((void)faulty.subscribe(0, subscription::match_all(s)), std::runtime_error);
 }
 
-TEST(FaultInjection, FaultsPlusWorkersThrows) {
-  const schema s = workload::make_uniform_schema(1, 8);
-  network_options o = faulty_opts(fault_options{});
-  o.workers = 2;
-  EXPECT_THROW(network(topology::line(2), s, o), std::invalid_argument);
-}
-
 TEST(FaultInjection, WalAccessorsRequireFaultsMode) {
   const schema s = workload::make_uniform_schema(1, 8);
   network det(topology::line(2), s, base_opts());

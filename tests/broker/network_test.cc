@@ -178,146 +178,11 @@ TEST(Network, BadBrokerIdsThrow) {
   EXPECT_THROW((void)net.broker_at(5), std::invalid_argument);
 }
 
-// --- deterministic-vs-parallel equivalence ---------------------------------
-//
-// The parallel engine's contract (network.h): for every worker count, a
-// parallel network fed the same operation sequence as a deterministic one
-// must end with identical routing tables, identical forwarded sets,
-// identical per-publish delivery sets, and identical metric totals (all
-// counters; covering_check_ns is a timer and excluded by same_counters).
-
-namespace {
-
-network_options sfc_opts(double eps, int workers) {
-  network_options o;
-  o.use_covering = true;
-  o.epsilon = eps;
-  o.workers = workers;
-  o.factory = [](const schema& sc) {
-    sfc_covering_options so;
-    so.max_cubes = 2048;
-    return std::make_unique<sfc_covering_index>(sc, so);
-  };
-  return o;
-}
-
-// Runs the same seeded churn workload (subscribes, unsubscribes, publishes)
-// on both networks, asserting per-publish delivery equality along the way.
-void run_identical_churn(network& a, network& b, const schema& s, std::uint64_t seed,
-                         int steps) {
-  workload::subscription_gen subs(s, {}, seed);
-  workload::event_gen events(s, seed + 1);
-  rng gen(seed + 2);
-  const auto n = static_cast<std::size_t>(a.broker_count());
-  std::vector<sub_id> active;
-  for (int step = 0; step < steps; ++step) {
-    const auto roll = gen.uniform(0, 9);
-    if (roll < 5 || active.empty()) {
-      const auto at = static_cast<int>(gen.index(n));
-      const auto body = subs.next();
-      const auto ida = a.subscribe(at, body);
-      const auto idb = b.subscribe(at, body);
-      ASSERT_EQ(ida, idb);
-      active.push_back(ida);
-    } else if (roll < 7) {
-      const auto pick = gen.index(active.size());
-      ASSERT_TRUE(a.unsubscribe(active[pick]));
-      ASSERT_TRUE(b.unsubscribe(active[pick]));
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else {
-      const auto ev = events.next();
-      const auto at = static_cast<int>(gen.index(n));
-      EXPECT_EQ(a.publish(at, ev), b.publish(at, ev)) << "step " << step;
-    }
-  }
-}
-
-void expect_same_final_state(const network& a, const network& b) {
-  ASSERT_EQ(a.broker_count(), b.broker_count());
-  for (int i = 0; i < a.broker_count(); ++i) {
-    EXPECT_EQ(a.broker_at(i).table(), b.broker_at(i).table()) << "broker " << i;
-    for (int j = 0; j < a.broker_count(); ++j)
-      EXPECT_EQ(a.broker_at(i).forwarded_ids(j), b.broker_at(i).forwarded_ids(j))
-          << "broker " << i << " link " << j;
-  }
-  EXPECT_EQ(a.total_routing_entries(), b.total_routing_entries());
-  EXPECT_TRUE(same_counters(a.metrics(), b.metrics()))
-      << "deterministic: " << a.metrics().to_string()
-      << "\nparallel:      " << b.metrics().to_string();
-}
-
-}  // namespace
-
-TEST(Network, ParallelMatchesDeterministicAcrossWorkerCounts) {
-  const schema s = workload::make_uniform_schema(2, 8);
-  for (const std::uint64_t seed : {131U, 232U}) {
-    for (const int workers : {1, 2, 4, 8}) {
-      network det(topology::balanced_tree(2, 3), s, sfc_opts(0.1, 0));
-      network par(topology::balanced_tree(2, 3), s, sfc_opts(0.1, workers));
-      run_identical_churn(det, par, s, seed, 120);
-      expect_same_final_state(det, par);
-    }
-  }
-}
-
-TEST(Network, ParallelMatchesDeterministicOnStarTopology) {
-  // A star maximizes per-broker link fan-out: the hub's covering checks
-  // spread over every shard on every message, the hardest case for the
-  // shard merge to keep deterministic.
-  const schema s = workload::make_uniform_schema(2, 8);
-  network det(topology::star(13), s, sfc_opts(0.0, 0));
-  network par(topology::star(13), s, sfc_opts(0.0, 4));
-  run_identical_churn(det, par, s, 555, 150);
-  expect_same_final_state(det, par);
-}
-
-TEST(Network, ParallelDeliveryCompletenessWithCovering) {
-  // The safety property must survive the async engine: no deliveries lost
-  // at any worker count, validated against ground truth.
-  const schema s = workload::make_uniform_schema(2, 8);
-  for (const int workers : {1, 4}) {
-    network net(topology::balanced_tree(2, 3), s, sfc_opts(0.1, workers));
-    workload::subscription_gen subs(s, {}, 717);
-    workload::event_gen events(s, 818);
-    rng pick(919);
-    for (int i = 0; i < 100; ++i)
-      (void)net.subscribe(static_cast<int>(pick.index(15)), subs.next());
-    for (int e = 0; e < 40; ++e) {
-      const auto ev = events.next();
-      EXPECT_EQ(net.publish(static_cast<int>(pick.index(15)), ev),
-                net.expected_recipients(ev))
-          << "workers=" << workers;
-    }
-  }
-}
-
-TEST(Network, ShardLocalScratchSurvivesConcurrentChecks) {
-  // Race test for the shard-local covering scratch: a high-fanout hub broker
-  // whose every subscribe fans one covering check out per link shard, at a
-  // worker count that forces genuine overlap. Any sharing of check scratch
-  // or query-plan state across shards is a data race here (caught by the
-  // TSan CI job) and a wrong-suppression bug (caught by the equivalence
-  // check below).
-  const schema s = workload::make_uniform_schema(2, 8);
-  network det(topology::star(9), s, sfc_opts(0.05, 0));
-  network par(topology::star(9), s, sfc_opts(0.05, 8));
-  workload::subscription_gen_options wo;
-  wo.kind = workload::workload_kind::clustered;
-  workload::subscription_gen subs(s, wo, 4242);
-  for (int i = 0; i < 150; ++i) {
-    // Subscribe at the hub: every check batch spans all 8 outgoing shards.
-    const auto body = subs.next();
-    (void)det.subscribe(0, body);
-    (void)par.subscribe(0, body);
-  }
-  expect_same_final_state(det, par);
-}
-
 // --- throwing covering handlers ---------------------------------------------
 //
 // The exception contract (network.h): a handler that throws fails only its
 // own message's forwards; every other shard and in-flight message completes,
-// and the post-throw state is deterministic and identical across engines.
+// and the post-throw state is deterministic.
 
 namespace {
 
@@ -357,156 +222,30 @@ class bomb_index final : public covering_index {
   std::set<sub_id> armed_;
 };
 
-// Exact linear index whose k-th find_covering call (per shard instance)
-// throws; all other calls delegate. Per-shard call sequences are schedule-
-// independent (each broker consumes an identical message sequence, and a
-// shard is only ever touched by its own link's job), so the failure lands on
-// the same operation in every engine.
-class kth_call_index final : public covering_index {
- public:
-  kth_call_index(const schema& s, std::uint64_t k)
-      : covering_index(s), inner_(s), k_(k) {}
-
-  void insert(sub_id id, const subscription& s) override { inner_.insert(id, s); }
-  bool erase(sub_id id) override { return inner_.erase(id); }
-  [[nodiscard]] std::optional<sub_id> find_covering(
-      const subscription& s, double epsilon,
-      covering_check_stats* stats = nullptr) const override {
-    if (++calls_ == k_) throw std::runtime_error("scheduled shard failure");
-    return inner_.find_covering(s, epsilon, stats);
-  }
-  [[nodiscard]] std::size_t size() const override { return inner_.size(); }
-  [[nodiscard]] std::string_view name() const override { return "kth-call"; }
-  [[nodiscard]] std::size_t memory_footprint() const override {
-    return inner_.memory_footprint();
-  }
-
- private:
-  linear_covering_index inner_;
-  const std::uint64_t k_;
-  mutable std::uint64_t calls_ = 0;
-};
-
-// run_identical_churn, but each operation runs under a catch: both networks
-// must throw on exactly the same operations and agree on every result.
-// Returns the number of operations that threw.
-int run_churn_with_throw_parity(network& a, network& b, const schema& s,
-                                std::uint64_t seed, int steps) {
-  workload::subscription_gen subs(s, {}, seed);
-  workload::event_gen events(s, seed + 1);
-  rng gen(seed + 2);
-  const auto n = static_cast<std::size_t>(a.broker_count());
-  std::vector<sub_id> active;
-  int threw = 0;
-  for (int step = 0; step < steps; ++step) {
-    const auto roll = gen.uniform(0, 9);
-    if (roll < 5 || active.empty()) {
-      const auto at = static_cast<int>(gen.index(n));
-      const auto body = subs.next();
-      std::optional<sub_id> ida, idb;
-      bool ta = false, tb = false;
-      try {
-        ida = a.subscribe(at, body);
-      } catch (const std::runtime_error&) {
-        ta = true;
-      }
-      try {
-        idb = b.subscribe(at, body);
-      } catch (const std::runtime_error&) {
-        tb = true;
-      }
-      EXPECT_EQ(ta, tb) << "step " << step;
-      EXPECT_EQ(ida, idb) << "step " << step;
-      if (ida && idb) active.push_back(*ida);
-      threw += ta ? 1 : 0;
-    } else if (roll < 7) {
-      const auto pick = gen.index(active.size());
-      std::optional<bool> ra, rb;
-      try {
-        ra = a.unsubscribe(active[pick]);
-      } catch (const std::runtime_error&) {
-      }
-      try {
-        rb = b.unsubscribe(active[pick]);
-      } catch (const std::runtime_error&) {
-      }
-      EXPECT_EQ(ra, rb) << "step " << step;
-      threw += ra.has_value() ? 0 : 1;
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else {
-      // Publishes never run covering checks, so they must not throw — and
-      // they double as a liveness probe that both networks still route.
-      const auto ev = events.next();
-      const auto at = static_cast<int>(gen.index(n));
-      EXPECT_EQ(a.publish(at, ev), b.publish(at, ev)) << "step " << step;
-    }
-  }
-  return threw;
-}
-
 }  // namespace
 
-TEST(Network, ThrowingHandlerStatePinnedAcrossEngines) {
+TEST(Network, ThrowingShardStillForwardsOnCleanShards) {
   // line(3): a bomb subscribed at broker 2 arms broker 2's shard toward 1 and
   // broker 1's shard toward 0. A later subscribe at broker 1 then fails its
   // covering check toward broker 0 but not toward broker 2 — the contract
-  // says the clean shard's forward still happens, in every engine.
+  // says the clean shard's forward still happens.
   const schema s = workload::make_uniform_schema(1, 8);
   const auto bomb = parse_subscription(s, "attr0 >= 100");
-  auto opts = [&](int workers) {
-    network_options o;
-    o.use_covering = true;
-    o.workers = workers;
-    o.factory = [bomb](const schema& sc) { return std::make_unique<bomb_index>(sc, bomb); };
-    return o;
-  };
-  for (const int workers : {0, 1, 4}) {
-    network net(topology::line(3), s, opts(workers));
-    const auto bomb_id = net.subscribe(2, bomb);  // arms; must not throw
-    const auto before0 = net.broker_at(1).forwarded_ids(0);
-    const auto before2 = net.broker_at(1).forwarded_ids(2);
-    EXPECT_THROW((void)net.subscribe(1, parse_subscription(s, "attr0 <= 50")),
-                 std::runtime_error)
-        << "workers=" << workers;
-    // The armed shard's forward (toward broker 0) was skipped...
-    EXPECT_EQ(net.broker_at(1).forwarded_ids(0), before0) << "workers=" << workers;
-    // ...but the clean shard's forward (toward broker 2) completed.
-    EXPECT_EQ(net.broker_at(1).forwarded_ids(2).size(), before2.size() + 1)
-        << "workers=" << workers;
-    // The network stays live: events still route through the bomb's path.
-    EXPECT_EQ(net.publish(0, event(s, {150})), (std::vector<sub_id>{bomb_id}))
-        << "workers=" << workers;
-  }
-  // And the post-throw state is identical between the engines.
-  network det(topology::line(3), s, opts(0));
-  network par(topology::line(3), s, opts(4));
-  (void)det.subscribe(2, bomb);
-  (void)par.subscribe(2, bomb);
-  const auto narrow = parse_subscription(s, "attr0 <= 50");
-  EXPECT_THROW((void)det.subscribe(1, narrow), std::runtime_error);
-  EXPECT_THROW((void)par.subscribe(1, narrow), std::runtime_error);
-  expect_same_final_state(det, par);
-}
-
-TEST(Network, ThrowingHandlerChaosMatchesAcrossWorkerCounts) {
-  // Seeded churn where every covering shard fails exactly once (on its 7th
-  // check): the deterministic and parallel engines must throw on the same
-  // operations and converge to the same final state at every worker count.
-  const schema s = workload::make_uniform_schema(2, 8);
-  auto opts = [](int workers) {
-    network_options o;
-    o.use_covering = true;
-    o.workers = workers;
-    o.factory = [](const schema& sc) { return std::make_unique<kth_call_index>(sc, 7); };
-    return o;
-  };
-  for (const int workers : {1, 4}) {
-    network det(topology::balanced_tree(2, 3), s, opts(0));
-    network par(topology::balanced_tree(2, 3), s, opts(workers));
-    const int threw = run_churn_with_throw_parity(det, par, s, 2718, 120);
-    EXPECT_GT(threw, 0) << "workers=" << workers;  // the bombs must actually fire
-    expect_same_final_state(det, par);
-  }
+  network_options o;
+  o.use_covering = true;
+  o.factory = [bomb](const schema& sc) { return std::make_unique<bomb_index>(sc, bomb); };
+  network net(topology::line(3), s, o);
+  const auto bomb_id = net.subscribe(2, bomb);  // arms; must not throw
+  const auto before0 = net.broker_at(1).forwarded_ids(0);
+  const auto before2 = net.broker_at(1).forwarded_ids(2);
+  EXPECT_THROW((void)net.subscribe(1, parse_subscription(s, "attr0 <= 50")),
+               std::runtime_error);
+  // The armed shard's forward (toward broker 0) was skipped...
+  EXPECT_EQ(net.broker_at(1).forwarded_ids(0), before0);
+  // ...but the clean shard's forward (toward broker 2) completed.
+  EXPECT_EQ(net.broker_at(1).forwarded_ids(2).size(), before2.size() + 1);
+  // The network stays live: events still route through the bomb's path.
+  EXPECT_EQ(net.publish(0, event(s, {150})), (std::vector<sub_id>{bomb_id}));
 }
 
 // --- batch unsubscribe -------------------------------------------------------
@@ -644,13 +383,6 @@ TEST(Broker, UnsubscribeBatchUnknownIdFailsLoudly) {
   network_metrics m;
   (void)b.handle_subscribe(kLocalLink, 7, subscription::match_all(s), m);
   EXPECT_THROW((void)b.handle_unsubscribe_batch(kLocalLink, {7, 8}, m), std::logic_error);
-}
-
-TEST(Network, BadWorkerCountThrows) {
-  const schema s = workload::make_uniform_schema(1, 8);
-  network_options o = with_linear(true);
-  o.workers = -1;
-  EXPECT_THROW(network(topology::line(2), s, o), std::invalid_argument);
 }
 
 TEST(Network, DefaultFactoryIsSfc) {
