@@ -13,7 +13,9 @@ validated against the working tree:
      that looks like a repo path (contains '/', plain path charset, no
      globs) must exist. Fenced code blocks are NOT scanned: they hold
      command transcripts and ASCII diagrams, not normative references.
-     Paths under build output directories (build*/...) are skipped.
+     Paths under build output directories (build*/...) are skipped, and so
+     are slash tokens whose first segment is not at the repo root and whose
+     last segment has no file extension (benchmark names like BM_Foo/0).
   3. Runnable-target tokens `./name ...` — the leading word names a CMake
      target; it must be producible by the build: the `subcover` library, a
      bench/<name>.cc harness, an examples/<name>.cpp program, or a
@@ -86,6 +88,9 @@ def check_document(root, doc):
         first = token.split("/", 1)[0]
         if first == "build" or first.startswith("build-"):
             continue  # build-tree outputs (build/, build-asan/) exist only after a build
+        last = token.rstrip("/").rsplit("/", 1)[-1]
+        if not (root / first).exists() and "." not in last:
+            continue  # not a repo path: a benchmark name such as BM_Foo/0
         if not (root / token).exists():
             problems.append(f"{doc}: missing path -> {token}")
 

@@ -1,5 +1,6 @@
 #include "broker/fault_engine.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,365 +16,259 @@ void check_prob(double p, const char* name) {
     throw std::invalid_argument(std::string("fault_engine: ") + name + " must be in [0, 1]");
 }
 
+struct event_after {
+  template <class E>
+  bool operator()(const E& a, const E& b) const {
+    return a.time != b.time ? a.time > b.time : a.order > b.order;
+  }
+};
+
+constexpr std::uint64_t kClient = 1;  // the network's client tag at every origin
+
 }  // namespace
 
 fault_engine::fault_engine(const topology& t, const schema& s,
                            const covering_index_factory& factory, broker_options broker_opts,
-                           fault_options opts, std::vector<broker>& brokers,
-                           network_metrics& metrics)
+                           fault_options opts, network_metrics& metrics)
     : topology_(t),
       schema_(s),
       factory_(factory),
       broker_opts_(broker_opts),
       opts_(opts),
-      brokers_(brokers),
       metrics_(metrics),
       rng_(opts.seed) {
   check_prob(opts_.drop_prob, "drop_prob");
-  check_prob(opts_.duplicate_prob, "duplicate_prob");
   check_prob(opts_.delay_prob, "delay_prob");
   check_prob(opts_.crash_prob, "crash_prob");
-  if (opts_.max_retries < 0)
-    throw std::invalid_argument("fault_engine: max_retries must be >= 0");
-  if (opts_.ack_timeout == 0)
-    throw std::invalid_argument("fault_engine: ack_timeout must be >= 1");
   if (opts_.max_delay == 0) throw std::invalid_argument("fault_engine: max_delay must be >= 1");
-  const auto n = brokers_.size();
-  wals_.reserve(n);
+  const auto n = static_cast<std::size_t>(topology_.size());
+  wals_.reserve(n);  // nodes borrow their WALs: no reallocation after this
   for (std::size_t i = 0; i < n; ++i) wals_.emplace_back();
-  down_.assign(n, 0);
-  next_expected_.resize(n);
-  next_send_.resize(n);
-  buffers_.resize(n);
+  for (int b = 0; b < topology_.size(); ++b)
+    for (const int nb : topology_.neighbors(b))
+      if (b < nb) {
+        link_index_[{b, nb}] = links_.size();
+        links_.push_back(link{{b, nb}});
+      }
+  nodes_.resize(n);
+  for (int b = 0; b < topology_.size(); ++b) restart(b);
 }
 
-broker_wal& fault_engine::wal_of(int b) {
-  return wals_.at(static_cast<std::size_t>(b));
+const broker& fault_engine::broker_at(int b) const {
+  const auto& node = nodes_.at(static_cast<std::size_t>(b));
+  SUBCOVER_CHECK(node != nullptr, "fault_engine: broker is down");
+  return node->state();
 }
+
+broker_wal& fault_engine::wal_of(int b) { return wals_.at(static_cast<std::size_t>(b)); }
 
 std::size_t fault_engine::recover_broker(int b) {
-  SUBCOVER_CHECK(b >= 0 && static_cast<std::size_t>(b) < brokers_.size(),
-                 "fault_engine: bad broker id");
-  return rebuild_from_wal(b);
-}
-
-std::size_t fault_engine::rebuild_from_wal(int b) {
-  const auto rec = wals_[static_cast<std::size_t>(b)].recover();
-  brokers_[static_cast<std::size_t>(b)] =
-      broker::recover(b, schema_, topology_.neighbors(b), factory_, broker_opts_, rec);
-  ++metrics_.recoveries;
-  // Re-derive the receive-side dedup positions for the operation in flight
-  // from the records' idempotency keys: anything the WAL holds was applied,
-  // so its retransmission must be suppressed, not re-applied.
-  auto& ne = next_expected_[static_cast<std::size_t>(b)];
-  for (const auto& r : rec.records) {
-    if (r.op != op_) continue;
-    auto& pos = ne[r.from];
-    if (r.seq + 1 > pos) pos = r.seq + 1;
-  }
-  return rec.records.size();
+  SUBCOVER_CHECK(b >= 0 && b < topology_.size(), "fault_engine: bad broker id");
+  heal();
+  nodes_[static_cast<std::size_t>(b)].reset();
+  for (const int nb : topology_.neighbors(b)) take_down(link_between(b, nb));
+  restart(b);
+  const std::size_t replayed = nodes_[static_cast<std::size_t>(b)]->logged_records();
+  // The rebuilt node resumes its client-origin records; let that settle.
+  run_to_quiescence();
+  return replayed;
 }
 
 void fault_engine::run_subscribe(int origin, sub_id id, const subscription& s) {
-  msg m;
-  m.k = msg::kind::subscribe;
+  wire_msg m;
+  m.type = msg_type::client_subscribe;
   m.id = id;
   m.body = s;
-  run_op(origin, std::move(m));
+  (void)run_op(origin, m);
 }
 
 void fault_engine::run_unsubscribe(int origin, sub_id id) {
-  msg m;
-  m.k = msg::kind::unsubscribe;
+  wire_msg m;
+  m.type = msg_type::client_unsubscribe;
   m.id = id;
-  run_op(origin, std::move(m));
+  (void)run_op(origin, m);
 }
 
 std::vector<sub_id> fault_engine::run_publish(int origin, const event& e) {
-  msg m;
-  m.k = msg::kind::publish;
-  m.ev = &e;
-  run_op(origin, std::move(m));
-  return std::move(delivered_);
+  wire_msg m;
+  m.type = msg_type::client_publish;
+  m.values.reserve(static_cast<std::size_t>(e.attribute_count()));
+  for (int i = 0; i < e.attribute_count(); ++i) m.values.push_back(e.value(i));
+  return run_op(origin, m);
 }
 
-void fault_engine::run_op(int origin, msg m) {
-  ++op_;
-  now_ = 0;
-  order_ = 0;
-  next_uid_ = 0;
-  heap_ = {};
-  pending_.clear();
-  delivered_.clear();
-  for (auto& ne : next_expected_) ne.clear();
-  for (auto& ns : next_send_) ns.clear();
-  for (auto& buf : buffers_) buf.clear();
-  // A previous operation that threw (retry exhaustion) may have abandoned a
-  // broker mid-recovery; restart it before injecting new work.
-  for (std::size_t b = 0; b < down_.size(); ++b) {
-    if (down_[b] == 0) continue;
-    rebuild_from_wal(static_cast<int>(b));
-    down_[b] = 0;
+std::vector<sub_id> fault_engine::run_op(int origin, const wire_msg& m) {
+  heal();
+  origin_ = origin;
+  done_.reset();
+  broker_node& node = *nodes_[static_cast<std::size_t>(origin)];
+  try {
+    node.client_op(m, kClient);
+  } catch (...) {
+    node.out() = {};  // the status-1 completion: the exception says it all
+    throw;
   }
+  flush(origin);
+  run_to_quiescence();
+  SUBCOVER_CHECK(done_.has_value(), "fault_engine: quiescent without the client's completion");
+  return std::move(done_->delivered);
+}
 
-  // The client -> broker hop is reliable and immediate: faults are a
-  // property of the inter-broker overlay links.
-  m.from = kLocalLink;
-  m.to = origin;
-  m.seq = 0;
-  m.uid = 0;
-  sim_event inject;
-  inject.k = sim_event::kind::deliver;
-  inject.m = std::move(m);
-  push_event(std::move(inject));
-
+void fault_engine::run_to_quiescence() {
   while (!heap_.empty()) {
-    sim_event e = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), event_after{});
+    const sim_event e = std::move(heap_.back());
+    heap_.pop_back();
     now_ = e.time;
-    dispatch(e);
-  }
-  SUBCOVER_CHECK(pending_.empty(), "fault_engine: quiescent with unacked messages");
-
-  if (opts_.checkpoint_every > 0) {
-    for (std::size_t b = 0; b < brokers_.size(); ++b) {
-      if (wals_[b].records_since_snapshot() >= opts_.checkpoint_every)
-        brokers_[b].checkpoint(wals_[b]);
+    switch (e.k) {
+      case sim_event::kind::deliver:
+        deliver(e);
+        break;
+      case sim_event::kind::reconnect: {
+        const link& l = links_[e.link];
+        // A later reset or crash owns the link now; a crashed end's
+        // restart brings it up.
+        if (l.up || e.epoch != l.epoch) break;
+        if (nodes_[static_cast<std::size_t>(l.end[0])] == nullptr ||
+            nodes_[static_cast<std::size_t>(l.end[1])] == nullptr)
+          break;
+        bring_up(e.link);
+        break;
+      }
+      case sim_event::kind::recover:
+        restart(e.to);
+        break;
     }
   }
-  std::uint64_t total = 0;
-  for (const auto& w : wals_) total += w.bytes_appended();
-  metrics_.wal_bytes = total;
+  for (const auto& node : nodes_)
+    SUBCOVER_CHECK(node != nullptr && node->quiescent(),
+                   "fault_engine: quiescent with unacked messages");
+}
+
+void fault_engine::heal() {
+  // A previous operation that threw may have left events, crashed brokers
+  // and down links behind.
+  heap_.clear();
+  for (int b = 0; b < topology_.size(); ++b)
+    if (nodes_[static_cast<std::size_t>(b)] == nullptr) restart(b);
+  for (std::size_t l = 0; l < links_.size(); ++l) {
+    links_[l].resets = 0;
+    if (!links_[l].up) bring_up(l);
+  }
+}
+
+void fault_engine::deliver(const sim_event& e) {
+  link& l = links_[e.link];
+  if (e.epoch != l.epoch) return;  // lost in a reset
+  const int from = l.end[0] == e.to ? l.end[1] : l.end[0];
+  broker_node& node = *nodes_[static_cast<std::size_t>(e.to)];
+  if (e.msg.type == msg_type::ack) {
+    l.resets = 0;
+  } else if (e.to != origin_ && rng_.bernoulli(opts_.crash_prob)) {
+    // Crash after the record is durable (the replay then takes the
+    // duplicate path) or before processing (the message is lost).
+    if (rng_.bernoulli(0.5)) node.receive(from, e.msg);
+    note_reset(e.link);
+    crash(e.to);
+    return;
+  }
+  node.receive(from, e.msg);
+  flush(e.to);
+}
+
+void fault_engine::flush(int b) {
+  auto out = std::exchange(nodes_[static_cast<std::size_t>(b)]->out(), {});
+  for (auto& [to, m] : out.sends) transmit(b, to, std::move(m));
+  for (auto& c : out.completions) done_ = std::move(c.done);
+}
+
+void fault_engine::transmit(int from, int to, wire_msg m) {
+  const std::size_t idx = link_between(from, to);
+  link& l = links_[idx];
+  if (!l.up) return;  // reset earlier in this flush: lost with the link
+  if (rng_.bernoulli(opts_.drop_prob)) {
+    note_reset(idx);
+    take_down(idx);
+    sim_event e;
+    e.k = sim_event::kind::reconnect;
+    e.time = now_ + latency();
+    e.link = idx;
+    e.epoch = l.epoch;
+    push_event(std::move(e));
+    return;
+  }
+  const int dir = l.end[0] == from ? 0 : 1;
+  l.last_arrival[dir] = std::max(now_ + latency(), l.last_arrival[dir]);
+  sim_event e;
+  e.k = sim_event::kind::deliver;
+  e.time = l.last_arrival[dir];
+  e.link = idx;
+  e.epoch = l.epoch;
+  e.to = to;
+  e.msg = std::move(m);
+  push_event(std::move(e));
+}
+
+void fault_engine::note_reset(std::size_t idx) {
+  link& l = links_[idx];
+  if (++l.resets > kMaxLinkResets)
+    throw std::runtime_error("fault_engine: link " + std::to_string(l.end[0]) + "-" +
+                             std::to_string(l.end[1]) + " reset " +
+                             std::to_string(kMaxLinkResets) +
+                             " times without an ack getting through");
+}
+
+void fault_engine::take_down(std::size_t idx) {
+  link& l = links_[idx];
+  ++l.epoch;
+  l.up = false;
+  for (int i = 0; i < 2; ++i)
+    if (auto& node = nodes_[static_cast<std::size_t>(l.end[i])]; node != nullptr)
+      node->link_down(l.end[1 - i]);
+}
+
+void fault_engine::bring_up(std::size_t idx) {
+  link& l = links_[idx];
+  l.up = true;
+  for (int i = 0; i < 2; ++i) nodes_[static_cast<std::size_t>(l.end[i])]->link_up(l.end[1 - i]);
+  for (const int b : l.end) flush(b);
+}
+
+void fault_engine::crash(int b) {
+  nodes_[static_cast<std::size_t>(b)].reset();
+  for (const int nb : topology_.neighbors(b)) take_down(link_between(b, nb));
+  sim_event e;
+  e.k = sim_event::kind::recover;
+  e.time = now_ + opts_.recovery_delay;
+  e.to = b;
+  push_event(std::move(e));
+}
+
+void fault_engine::restart(int b) {
+  nodes_[static_cast<std::size_t>(b)] = std::make_unique<broker_node>(
+      b, schema_, factory_, broker_opts_, topology_.neighbors(b), opts_.checkpoint_every,
+      wals_[static_cast<std::size_t>(b)], metrics_);
+  for (const int nb : topology_.neighbors(b)) {
+    const std::size_t idx = link_between(b, nb);
+    if (nodes_[static_cast<std::size_t>(nb)] != nullptr) bring_up(idx);
+    // else: the neighbor's own restart brings the link up.
+  }
+}
+
+std::size_t fault_engine::link_between(int a, int b) const {
+  return link_index_.at({std::min(a, b), std::max(a, b)});
 }
 
 void fault_engine::push_event(sim_event e) {
   e.order = order_++;
-  heap_.push(std::move(e));
+  heap_.push_back(std::move(e));
+  std::push_heap(heap_.begin(), heap_.end(), event_after{});
 }
 
 std::uint64_t fault_engine::latency() {
   std::uint64_t ticks = 1;
   if (rng_.bernoulli(opts_.delay_prob)) ticks += rng_.uniform(1, opts_.max_delay);
   return ticks;
-}
-
-void fault_engine::dispatch(const sim_event& e) {
-  switch (e.k) {
-    case sim_event::kind::deliver:
-      deliver(e.m);
-      break;
-    case sim_event::kind::ack:
-      pending_.erase(e.uid);  // absent = a duplicate's redundant ack
-      break;
-    case sim_event::kind::timeout: {
-      const auto it = pending_.find(e.uid);
-      if (it == pending_.end()) break;  // acked in the meantime
-      if (it->second.retries >= opts_.max_retries)
-        throw std::runtime_error(
-            "fault_engine: retries exhausted for message to broker " +
-            std::to_string(it->second.m.to));
-      ++it->second.retries;
-      ++metrics_.retries;
-      transmit(it->second.m);
-      sim_event next;
-      next.k = sim_event::kind::timeout;
-      next.uid = e.uid;
-      next.time = now_ + (opts_.ack_timeout << it->second.retries);
-      push_event(std::move(next));
-      break;
-    }
-    case sim_event::kind::recover:
-      rebuild_from_wal(e.broker);
-      down_[static_cast<std::size_t>(e.broker)] = 0;
-      break;
-  }
-}
-
-void fault_engine::send_data(msg m) {
-  m.seq = next_send_[static_cast<std::size_t>(m.from)][m.to]++;
-  m.uid = ++next_uid_;
-  pending_.emplace(m.uid, pending_msg{m, 0});
-  sim_event timeout;
-  timeout.k = sim_event::kind::timeout;
-  timeout.uid = m.uid;
-  timeout.time = now_ + opts_.ack_timeout;
-  push_event(std::move(timeout));
-  transmit(m);
-}
-
-void fault_engine::transmit(const msg& m) {
-  if (!rng_.bernoulli(opts_.drop_prob)) {
-    sim_event e;
-    e.k = sim_event::kind::deliver;
-    e.time = now_ + latency();
-    e.m = m;
-    push_event(std::move(e));
-  }
-  if (rng_.bernoulli(opts_.duplicate_prob)) {
-    sim_event e;
-    e.k = sim_event::kind::deliver;
-    e.time = now_ + latency();
-    e.m = m;
-    push_event(std::move(e));
-  }
-}
-
-void fault_engine::send_ack(const msg& m) {
-  if (m.from == kLocalLink) return;  // client hop: nothing pending
-  if (rng_.bernoulli(opts_.drop_prob)) return;  // lost ack: sender retries
-  sim_event e;
-  e.k = sim_event::kind::ack;
-  e.uid = m.uid;
-  e.time = now_ + latency();
-  push_event(std::move(e));
-}
-
-void fault_engine::crash(int b) {
-  down_[static_cast<std::size_t>(b)] = 1;
-  // Fail-stop: receive-side dedup positions and the out-of-order buffer die
-  // with the broker. Buffered messages were never acked, so their senders
-  // are still retransmitting them; the dedup positions come back from the
-  // WAL's idempotency keys at restart.
-  next_expected_[static_cast<std::size_t>(b)].clear();
-  buffers_[static_cast<std::size_t>(b)].clear();
-  sim_event e;
-  e.k = sim_event::kind::recover;
-  e.broker = b;
-  e.time = now_ + opts_.recovery_delay;
-  push_event(std::move(e));
-}
-
-void fault_engine::deliver(const msg& m) {
-  if (down_[static_cast<std::size_t>(m.to)] != 0) return;  // lost; sender retries
-
-  bool crash_before = false;
-  bool crash_after = false;
-  if (m.from != kLocalLink && rng_.bernoulli(opts_.crash_prob)) {
-    if (rng_.bernoulli(0.5))
-      crash_before = true;  // the message goes down with the broker
-    else
-      crash_after = true;  // records durable, ack lost: the dedup path
-  }
-  if (crash_before) {
-    crash(m.to);
-    return;
-  }
-
-  auto& ne = next_expected_[static_cast<std::size_t>(m.to)][m.from];
-  if (m.seq < ne) {
-    // Already applied (a duplicate, or a retransmission whose ack was
-    // lost): suppress, but re-ack so the sender stops.
-    ++metrics_.duplicates_suppressed;
-    send_ack(m);
-    return;
-  }
-  auto& buf = buffers_[static_cast<std::size_t>(m.to)][m.from];
-  if (m.seq > ne) {
-    buf.emplace(m.seq, m);  // no ack: the sender keeps it retransmittable
-    return;
-  }
-
-  process(m);
-  ++ne;
-  if (crash_after) {
-    crash(m.to);
-    return;
-  }
-  send_ack(m);
-  for (auto it = buf.find(ne); it != buf.end(); it = buf.find(ne)) {
-    const msg next = std::move(it->second);
-    buf.erase(it);
-    process(next);
-    ++ne;
-    send_ack(next);
-  }
-}
-
-void fault_engine::process(const msg& m) {
-  broker& br = brokers_[static_cast<std::size_t>(m.to)];
-  broker_wal& wal = wals_[static_cast<std::size_t>(m.to)];
-  switch (m.k) {
-    case msg::kind::subscribe: {
-      const auto action = br.handle_subscribe(m.from, m.id, m.body, metrics_);
-      wal_record r;
-      r.k = wal_record::kind::subscribe;
-      r.op = op_;
-      r.from = m.from;
-      r.seq = m.seq;
-      r.id = m.id;
-      r.body = m.body;
-      r.forwarded_links = action.forward_links;
-      wal.append(r);
-      for (const int link : action.forward_links) {
-        ++metrics_.subscription_messages;
-        msg out;
-        out.k = msg::kind::subscribe;
-        out.from = m.to;
-        out.to = link;
-        out.id = m.id;
-        out.body = m.body;
-        send_data(std::move(out));
-      }
-      break;
-    }
-    case msg::kind::unsubscribe: {
-      const auto action = br.handle_unsubscribe(m.from, m.id, metrics_);
-      wal_record r;
-      r.k = wal_record::kind::unsubscribe;
-      r.op = op_;
-      r.from = m.from;
-      r.seq = m.seq;
-      r.id = m.id;
-      r.withdrawn_links = action.forward_links;
-      r.reforwards = action.reforwards;
-      wal.append(r);
-      for (const int link : action.forward_links) {
-        ++metrics_.unsubscription_messages;
-        msg out;
-        out.k = msg::kind::unsubscribe;
-        out.from = m.to;
-        out.to = link;
-        out.id = m.id;
-        send_data(std::move(out));
-      }
-      for (const auto& [link, sub_pair] : action.reforwards) {
-        ++metrics_.subscription_messages;
-        ++metrics_.reforwards;
-        msg out;
-        out.k = msg::kind::subscribe;
-        out.from = m.to;
-        out.to = link;
-        out.id = sub_pair.first;
-        out.body = sub_pair.second;
-        send_data(std::move(out));
-      }
-      break;
-    }
-    case msg::kind::publish: {
-      const std::size_t before = delivered_.size();
-      br.handle_event(m.from, *m.ev, forwards_, delivered_);
-      // Events mutate no routing state, but their channel position must
-      // survive a crash: without the receipt, a retransmission of an
-      // already-delivered event would deliver (and count) it twice.
-      wal_record r;
-      r.k = wal_record::kind::event_receipt;
-      r.op = op_;
-      r.from = m.from;
-      r.seq = m.seq;
-      wal.append(r);
-      metrics_.deliveries += delivered_.size() - before;
-      for (const int link : forwards_) {
-        ++metrics_.event_messages;
-        msg out;
-        out.k = msg::kind::publish;
-        out.from = m.to;
-        out.to = link;
-        out.ev = m.ev;
-        send_data(std::move(out));
-      }
-      break;
-    }
-  }
 }
 
 }  // namespace subcover

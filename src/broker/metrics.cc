@@ -23,7 +23,6 @@ network_metrics& network_metrics::operator+=(const network_metrics& o) {
   covering_maint_tombstones += o.covering_maint_tombstones;
   covering_maint_purged += o.covering_maint_purged;
   covering_maint_compactions += o.covering_maint_compactions;
-  retries += o.retries;
   duplicates_suppressed += o.duplicates_suppressed;
   recoveries += o.recoveries;
   wal_bytes += o.wal_bytes;
@@ -64,7 +63,7 @@ std::string network_metrics::to_string() const {
      << ", cov_tier_hits=" << covering_tier_cold_hits
      << ", cov_maint_tombs=" << covering_maint_tombstones
      << ", cov_maint_purged=" << covering_maint_purged
-     << ", cov_maint_compact=" << covering_maint_compactions << ", retries=" << retries
+     << ", cov_maint_compact=" << covering_maint_compactions
      << ", dups_suppressed=" << duplicates_suppressed << ", recoveries=" << recoveries
      << ", wal_bytes=" << wal_bytes << ", reconnects=" << reconnects
      << ", hb_missed=" << heartbeats_missed << ", wire_bytes=" << bytes_on_wire

@@ -39,25 +39,21 @@ struct network_metrics {
   // (query_stats maint_* fields; zero for in-place-erase backends or with
   // eager compaction). Physical counters: they move with the compaction
   // policy and with crash-recovery index rebuilds, so they are excluded
-  // from same_counters like the fault-transport set below.
+  // from same_counters like the reliability-protocol set below.
   std::uint64_t covering_maint_tombstones = 0;
   std::uint64_t covering_maint_purged = 0;
   std::uint64_t covering_maint_compactions = 0;
-  // Fault-injection engine accounting (zero outside faults mode). These are
-  // *transport* counters — retransmissions, suppressed duplicates, broker
-  // crash-recoveries, durable bytes written — and are deliberately excluded
-  // from same_counters: the logical counters above must match deterministic
-  // mode exactly under any fault schedule, while these describe the fault
-  // schedule itself.
-  std::uint64_t retries = 0;
+  // Reliability-protocol accounting (broker/broker_node.h), the same in
+  // both drivers of the protocol: the seeded fault fabric and the TCP
+  // daemon. Physical counters — they describe the fault schedule and what
+  // the OS did to the byte stream, not the logical computation — so
+  // same_counters excludes them: the logical counters above must match
+  // deterministic mode exactly under any fault schedule.
   std::uint64_t duplicates_suppressed = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t wal_bytes = 0;
-  // TCP transport accounting (zero outside the socket daemon; broker/
-  // transport.h). Physical counters like the fault-transport set above —
-  // they describe what the OS and the network did to the byte stream, not
-  // the logical computation — so same_counters excludes them too.
   std::uint64_t reconnects = 0;
+  // TCP daemon only (broker/transport.h).
   std::uint64_t heartbeats_missed = 0;
   std::uint64_t bytes_on_wire = 0;
   std::uint64_t partial_writes = 0;
@@ -78,12 +74,11 @@ struct network_metrics {
 // is excluded (wall-clock timer readings differ run to run even on the
 // byte-identical sequential path), as are the maintenance counters
 // (covering_maint_* — physical tombstone/compaction work that moves with
-// crash-recovery rebuilds) and the fault-transport counters
-// (retries, duplicates_suppressed, recoveries, wal_bytes — they describe
-// the injected fault schedule, not the logical computation) and the TCP
-// physical counters (reconnects, heartbeats_missed, bytes_on_wire,
-// partial_writes — they describe what the OS did to the stream). This is the
-// comparison the deterministic-vs-faults and deterministic-vs-TCP
+// crash-recovery rebuilds) and the reliability-protocol counters
+// (duplicates_suppressed, recoveries, wal_bytes, reconnects,
+// heartbeats_missed, bytes_on_wire, partial_writes — they describe the
+// fault schedule and the byte stream, not the logical computation). This
+// is the comparison the deterministic-vs-faults and deterministic-vs-TCP
 // equivalence tests pin.
 [[nodiscard]] bool same_counters(const network_metrics& a, const network_metrics& b);
 

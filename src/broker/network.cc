@@ -25,12 +25,14 @@ network::network(topology t, schema s, network_options options)
   broker_options bo;
   bo.use_covering = options_.use_covering;
   bo.epsilon = options_.epsilon;
+  if (options_.faults.has_value()) {
+    faults_ = std::make_unique<fault_engine>(topology_, schema_, options_.factory, bo,
+                                             *options_.faults, metrics_);
+    return;
+  }
   brokers_.reserve(static_cast<std::size_t>(topology_.size()));
   for (int i = 0; i < topology_.size(); ++i)
     brokers_.emplace_back(i, schema_, topology_.neighbors(i), options_.factory, bo);
-  if (options_.faults.has_value())
-    faults_ = std::make_unique<fault_engine>(topology_, schema_, options_.factory, bo,
-                                             *options_.faults, brokers_, metrics_);
 }
 
 sub_id network::subscribe(int broker_id, const subscription& s) {
@@ -169,13 +171,14 @@ std::vector<sub_id> network::expected_recipients(const event& e) const {
 
 std::size_t network::total_routing_entries() const {
   std::size_t n = 0;
-  for (const auto& b : brokers_) n += b.routing_entries();
+  for (int i = 0; i < topology_.size(); ++i) n += broker_at(i).routing_entries();
   return n;
 }
 
 const broker& network::broker_at(int id) const {
   if (id < 0 || id >= topology_.size())
     throw std::invalid_argument("network::broker_at: bad broker id");
+  if (faults_ != nullptr) return faults_->broker_at(id);
   return brokers_[static_cast<std::size_t>(id)];
 }
 

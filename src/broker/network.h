@@ -1,19 +1,17 @@
 // In-process simulation of a broker tree running covering-optimized
 // subscription propagation and reverse-path event routing, with two
 // execution engines (a third — real TCP sockets between one OS process per
-// broker, byte-identical converged state — lives in broker/transport.h as
-// the standalone broker_daemon):
+// broker — lives in broker/transport.h as the standalone broker_daemon):
 //
 //   * Deterministic mode (the default): messages between brokers are
 //     processed from a single FIFO queue until quiescence on the calling
 //     thread — byte-identical to the original sequential simulation (same
 //     message order, same delivery order, same metrics).
 //
-//   * Faults mode (options.faults set): inter-broker messages travel through
-//     a seeded deterministic fault fabric — drop, duplicate, delay/reorder,
-//     broker crash-restart-from-WAL — with acks, bounded retransmission, and
-//     idempotent handling rebuilding exactly the deterministic-mode final
-//     state on top (broker/fault_engine.h).
+//   * Faults mode (options.faults set): each broker runs the daemon's
+//     reliability protocol over a seeded fault fabric — link resets,
+//     delay/reorder across links, crash-restart-from-WAL — and converges on
+//     exactly the deterministic-mode final state (broker/fault_engine.h).
 //
 // A broker handler that throws fails only its own message: the FIFO catches
 // at each pop, skips that message's forwards, completes every other
@@ -47,9 +45,8 @@ struct network_options {
   // Factory for the per-link covering indexes; defaults to the paper's
   // SFC index (Z curve + skip list).
   covering_index_factory factory;
-  // Set = faults mode: inter-broker messages travel through the seeded
-  // fault-injection fabric (broker/fault_engine.h) with per-broker WALs and
-  // crash recovery. Unset = the deterministic FIFO engine.
+  // Set = faults mode: the seeded fault fabric (broker/fault_engine.h).
+  // Unset = the deterministic FIFO engine.
   std::optional<fault_options> faults;
 };
 
@@ -87,7 +84,7 @@ class network {
   // durable write-ahead log, for inspection.
   [[nodiscard]] broker_wal& wal_of(int broker_id);
   // Faults mode only: crash-between-operations — discards the broker's
-  // in-memory routing state and rebuilds it from its WAL (counted in
+  // in-memory state and rebuilds it from its WAL (counted in
   // metrics().recoveries). Returns the number of log records replayed.
   std::size_t recover_broker(int broker_id);
 
@@ -99,7 +96,7 @@ class network {
   topology topology_;
   schema schema_;
   network_options options_;
-  std::vector<broker> brokers_;
+  std::vector<broker> brokers_;  // deterministic mode; faults mode's live in faults_
   std::map<sub_id, sub_record> owners_;
   network_metrics metrics_;
   sub_id next_id_ = 1;
@@ -107,7 +104,7 @@ class network {
   // (broker, arrival link) hops and handle_event's forward links.
   std::vector<std::pair<int, int>> publish_fifo_;
   std::vector<int> publish_forwards_;
-  // The fault-injection executor; null unless options_.faults is set.
+  // The fault fabric; null unless options_.faults is set.
   std::unique_ptr<fault_engine> faults_;
 };
 

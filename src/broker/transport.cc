@@ -13,8 +13,8 @@
 #include <cstring>
 #include <ctime>
 #include <stdexcept>
+#include <utility>
 
-#include "broker/codec.h"
 #include "util/check.h"
 
 namespace subcover {
@@ -53,19 +53,11 @@ struct broker_daemon::conn {
   std::int64_t connect_deadline = 0;  // unknown/connecting conns expire
   std::int64_t last_rx = 0;
   std::int64_t last_tx = 0;
+  std::uint64_t id = 0;  // client tag for the core's completions
   frame_decoder dec;
   std::vector<std::uint8_t> out;  // unwritten bytes, resumed on POLLOUT
   std::size_t out_pos = 0;
   bool dead = false;
-};
-
-struct broker_daemon::op_state {
-  int parent_link = kLocalLink;  // peer the op arrived from; kLocalLink = client
-  std::uint64_t parent_seq = 0;  // seq to ack on the parent channel
-  conn* client = nullptr;        // client_done recipient; null = orphaned
-  int pending_acks = 0;
-  std::vector<sub_id> delivered;  // local + aggregated subtree deliveries
-  std::map<int, std::uint64_t> next_seq;  // per link: seq of this state's next send
 };
 
 // --- construction / recovery -------------------------------------------------
@@ -88,34 +80,13 @@ std::vector<int> peer_ids(const transport_options& o) {
 
 broker_daemon::broker_daemon(const schema& s, const covering_index_factory& factory,
                              transport_options opts)
-    : schema_(s),
-      factory_(factory),
-      opts_(std::move(opts)),
+    : opts_(std::move(opts)),
       wal_(open_wal(opts_)),
-      broker_(0, s, {}, factory, opts_.broker),
+      node_(opts_.broker_id, s, factory, opts_.broker, peer_ids(opts_), opts_.checkpoint_every,
+            wal_, metrics_),
       rng_(opts_.seed ^ (static_cast<std::uint64_t>(opts_.broker_id) * 0x9e3779b97f4a7c15ULL)) {
-  const auto rec = wal_.recover();
-  broker_ = broker::recover(opts_.broker_id, schema_, peer_ids(opts_), factory_, opts_.broker, rec);
-  const bool had_state =
-      !rec.records.empty() || !rec.aux.empty() || !(rec.snapshot == broker_snapshot{});
-  if (had_state) ++metrics_.recoveries;
-  for (const auto& r : rec.records) {
-    note_applied(r.op, r.from, r.seq);
-    records_[{r.op, r.from, r.seq}] = r;
-  }
-  load_dedup_aux(rec.aux);
-  // Resume the local op-id counter past every op this broker ever
-  // originated (applied_ holds both post-snapshot records and the aux
-  // blob's checkpointed keys). Without this a restarted daemon would mint
-  // op ids its neighbors already have dedup state for, and they would
-  // replay stale records instead of applying the fresh operations.
-  const std::uint64_t mine = static_cast<std::uint64_t>(opts_.broker_id + 1) << 40;
-  for (const auto& [op, froms] : applied_)
-    if ((op & ~((std::uint64_t{1} << 40) - 1)) == mine)
-      op_counter_ = std::max(op_counter_, op & ((std::uint64_t{1} << 40) - 1));
   for (const auto& p : opts_.peers) peers_[p.id].addr = p;
   open_listener();
-  resume_client_ops();
 }
 
 broker_daemon::~broker_daemon() {
@@ -280,6 +251,7 @@ void broker_daemon::accept_ready() {
     set_nodelay(fd);
     auto c = std::make_unique<conn>();
     c->fd = fd;
+    c->id = ++next_conn_id_;
     const auto now = now_ms();
     c->last_rx = c->last_tx = now;
     // An accepted connection must identify (hello) or speak client protocol
@@ -300,16 +272,9 @@ void broker_daemon::identify_peer(conn& c, int peer_id) {
   c.k = conn::kind::peer;
   c.peer_id = peer_id;
   slot.c = &c;
-  if (slot.ever_connected) ++metrics_.reconnects;
-  slot.ever_connected = true;
   slot.backoff_exp = 0;
-  flush_ledger(slot);
-}
-
-void broker_daemon::flush_ledger(peer_slot& p) {
-  // Replay every unacked data message, oldest first. The receiver's
-  // (op, from, seq) dedup turns the already-applied prefix into re-acks.
-  for (const auto& e : p.unacked) queue_bytes(*p.c, frame_msg(e.msg));
+  node_.link_up(peer_id);
+  flush_outbox();
 }
 
 void broker_daemon::close_conn(conn& c, const char* /*why*/) {
@@ -321,6 +286,7 @@ void broker_daemon::close_conn(conn& c, const char* /*why*/) {
     auto& slot = peers_[c.peer_id];
     if (slot.c == &c) {
       slot.c = nullptr;
+      node_.link_down(c.peer_id);
       if (c.peer_id < opts_.broker_id) {
         slot.backoff_exp = std::min(slot.backoff_exp + 1, 8);
         const std::int64_t backoff =
@@ -332,9 +298,6 @@ void broker_daemon::close_conn(conn& c, const char* /*why*/) {
       }
     }
   }
-  // Orphan any operation still owing this client its client_done.
-  for (auto& [op, st] : active_)
-    if (st->client == &c) st->client = nullptr;
 }
 
 void broker_daemon::queue_bytes(conn& c, const std::vector<std::uint8_t>& bytes) {
@@ -425,13 +388,10 @@ void broker_daemon::handle_frame(conn& c, const std::vector<std::uint8_t>& paylo
     }
     c.k = conn::kind::client;  // first frame decides the connection's role
   }
-  if (c.k == conn::kind::peer)
-    handle_peer_msg(c, m);
-  else
+  if (c.k == conn::kind::client) {
     handle_client_msg(c, m);
-}
-
-void broker_daemon::handle_peer_msg(conn& c, const wire_msg& m) {
+    return;
+  }
   switch (m.type) {
     case msg_type::heartbeat:
     case msg_type::hello:
@@ -439,400 +399,55 @@ void broker_daemon::handle_peer_msg(conn& c, const wire_msg& m) {
     case msg_type::subscribe:
     case msg_type::unsubscribe:
     case msg_type::publish:
-      handle_data(c.peer_id, m);
-      return;
     case msg_type::ack:
-      handle_ack(c.peer_id, m);
+      node_.receive(c.peer_id, m);  // a sequence gap throws wire_error: resync
+      flush_outbox();
       return;
     default:
       close_conn(c, "client message on peer connection");
   }
 }
 
+void broker_daemon::flush_outbox() {
+  // Take the outbox first: a failing write closes its connection, which
+  // calls back into the core (link_down).
+  auto out = std::exchange(node_.out(), {});
+  for (const auto& [link, m] : out.sends)
+    if (auto& slot = peers_[link]; slot.c != nullptr) queue_bytes(*slot.c, frame_msg(m));
+  for (const auto& done : out.completions)
+    for (auto& c : conns_)
+      if (!c->dead && c->id == done.client) queue_bytes(*c, frame_msg(done.done));
+  // A completion for a client that went away is dropped: the state
+  // converged; only the notification is lost.
+}
+
 void broker_daemon::handle_client_msg(conn& c, const wire_msg& m) {
   switch (m.type) {
     case msg_type::client_subscribe:
     case msg_type::client_unsubscribe:
-    case msg_type::client_publish: {
-      const std::uint64_t op =
-          (static_cast<std::uint64_t>(opts_.broker_id + 1) << 40) | ++op_counter_;
-      wire_msg data;
-      data.op = op;
-      data.seq = 0;
-      data.type = m.type == msg_type::client_subscribe    ? msg_type::subscribe
-                  : m.type == msg_type::client_unsubscribe ? msg_type::unsubscribe
-                                                           : msg_type::publish;
-      data.id = m.id;
-      data.body = m.body;
-      data.values = m.values;
-      auto st = std::make_unique<op_state>();
-      st->parent_link = kLocalLink;
-      st->client = &c;
+    case msg_type::client_publish:
       try {
-        process_fresh(kLocalLink, data, *st);
+        node_.client_op(m, c.id);
       } catch (const std::exception&) {
-        // Malformed client input (bad event width, unknown id): report,
-        // don't take the daemon down.
-        wire_msg done;
-        done.type = msg_type::client_done;
-        done.op = op;
-        done.status = 1;
-        queue_bytes(c, frame_msg(done));
-        return;
+        // Malformed client input (bad event width, unknown id): the core
+        // answered status 1; don't take the daemon down.
       }
-      if (st->pending_acks == 0)
-        complete_op(op, *st);
-      else
-        active_[{op, kLocalLink, 0}] = std::move(st);
+      flush_outbox();
       return;
-    }
     case msg_type::client_dump: {
       wire_msg reply;
       reply.type = msg_type::dump_reply;
-      reply.snapshot = encode_snapshot(broker_.snapshot());
+      reply.snapshot = encode_snapshot(node_.state().snapshot());
       reply.metrics = metrics_;
       queue_bytes(c, frame_msg(reply));
       return;
     }
     case msg_type::client_shutdown:
-      if (opts_.checkpoint_every > 0 && active_.empty()) {
-        broker_.checkpoint(wal_);
-        wal_.write_snapshot(broker_.snapshot(), dedup_aux());
-        records_.clear();
-        metrics_.wal_bytes = wal_.bytes_appended();
-      }
+      if (opts_.checkpoint_every > 0) node_.checkpoint();
       stopping_ = true;
       return;
     default:
       close_conn(c, "peer message on client connection");
-  }
-}
-
-// --- operation processing ----------------------------------------------------
-
-void broker_daemon::note_applied(std::uint64_t op, int from, std::uint64_t seq) {
-  auto& pos = applied_[op][from];
-  if (seq + 1 > pos) pos = seq + 1;
-}
-
-void broker_daemon::handle_data(int from, const wire_msg& m) {
-  std::uint64_t next = 0;
-  if (const auto oit = applied_.find(m.op); oit != applied_.end())
-    if (const auto fit = oit->second.find(from); fit != oit->second.end()) next = fit->second;
-
-  if (m.seq == next) {
-    auto st = std::make_unique<op_state>();
-    st->parent_link = from;
-    st->parent_seq = m.seq;
-    process_fresh(from, m, *st);
-    if (st->pending_acks == 0)
-      complete_op(m.op, *st);
-    else
-      active_[{m.op, from, m.seq}] = std::move(st);
-    return;
-  }
-  if (m.seq > next) {
-    // TCP is in-order and the ledger replays in order: a gap means the
-    // sender and receiver disagree about history. Drop the connection.
-    if (auto& slot = peers_[from]; slot.c != nullptr) close_conn(*slot.c, "sequence gap");
-    return;
-  }
-
-  // Duplicate: only reconnect replay produces these.
-  ++metrics_.duplicates_suppressed;
-  const msg_key key{m.op, from, m.seq};
-  if (active_.count(key) != 0) return;  // in flight: our eventual ack covers it
-
-  // The subtree's ack state died with a crash (ours or an ancestor's).
-  // Rebuild it by deterministic re-emission — see transport.h.
-  auto st = std::make_unique<op_state>();
-  st->parent_link = from;
-  st->parent_seq = m.seq;
-  if (const auto it = records_.find(key); it != records_.end()) {
-    if (it->second.k == wal_record::kind::event_receipt)
-      replay_publish(from, m, *st);
-    else
-      replay_record(it->second, *st);
-  } else if (m.type == msg_type::publish) {
-    // Record checkpointed away: the subtree completed, but the delivered
-    // set must be reassembled for the ack.
-    replay_publish(from, m, *st);
-  }
-  // else: checkpointed subscribe/unsubscribe — downstream is durable and
-  // quiescent; the empty re-ack below is all the parent needs.
-  if (st->pending_acks == 0)
-    complete_op(m.op, *st);
-  else
-    active_[key] = std::move(st);
-}
-
-void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
-  wal_record r;
-  r.op = m.op;
-  r.from = from;
-  r.seq = m.seq;
-  const msg_key key{m.op, from, m.seq};
-  switch (m.type) {
-    case msg_type::subscribe: {
-      const auto action = broker_.handle_subscribe(from, m.id, m.body, metrics_);
-      r.k = wal_record::kind::subscribe;
-      r.id = m.id;
-      r.body = m.body;
-      r.forwarded_links = action.forward_links;
-      wal_.append(r);
-      note_applied(m.op, from, m.seq);
-      records_[key] = r;
-      for (const int link : action.forward_links) {
-        ++metrics_.subscription_messages;
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = m.id;
-        out.body = m.body;
-        emit_data(m.op, link, std::move(out), st);
-      }
-      break;
-    }
-    case msg_type::unsubscribe: {
-      const auto action = broker_.handle_unsubscribe(from, m.id, metrics_);
-      r.k = wal_record::kind::unsubscribe;
-      r.id = m.id;
-      r.withdrawn_links = action.forward_links;
-      r.reforwards = action.reforwards;
-      wal_.append(r);
-      note_applied(m.op, from, m.seq);
-      records_[key] = r;
-      for (const int link : action.forward_links) {
-        ++metrics_.unsubscription_messages;
-        wire_msg out;
-        out.type = msg_type::unsubscribe;
-        out.id = m.id;
-        emit_data(m.op, link, std::move(out), st);
-      }
-      for (const auto& [link, sub_pair] : action.reforwards) {
-        ++metrics_.subscription_messages;
-        ++metrics_.reforwards;
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = sub_pair.first;
-        out.body = sub_pair.second;
-        emit_data(m.op, link, std::move(out), st);
-      }
-      break;
-    }
-    case msg_type::publish: {
-      const event e(schema_, m.values);
-      const std::size_t before = st.delivered.size();
-      broker_.handle_event(from, e, forwards_, st.delivered);
-      r.k = wal_record::kind::event_receipt;
-      wal_.append(r);
-      note_applied(m.op, from, m.seq);
-      records_[key] = r;
-      metrics_.deliveries += st.delivered.size() - before;
-      for (const int link : forwards_) {
-        ++metrics_.event_messages;
-        wire_msg out;
-        out.type = msg_type::publish;
-        out.values = m.values;
-        emit_data(m.op, link, std::move(out), st);
-      }
-      break;
-    }
-    default:
-      SUBCOVER_CHECK(false, "transport: non-data message in process_fresh");
-  }
-  metrics_.wal_bytes = wal_.bytes_appended();
-}
-
-void broker_daemon::replay_record(const wal_record& r, op_state& st) {
-  // Physical re-emission of a logged disposition: no broker handler runs
-  // and no logical counter moves. Emission order matches process_fresh
-  // exactly, so the regenerated per-op per-link seqs equal the originals.
-  switch (r.k) {
-    case wal_record::kind::subscribe:
-      for (const int link : r.forwarded_links) {
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = r.id;
-        out.body = r.body;
-        emit_data(r.op, link, std::move(out), st);
-      }
-      break;
-    case wal_record::kind::unsubscribe:
-      for (const int link : r.withdrawn_links) {
-        wire_msg out;
-        out.type = msg_type::unsubscribe;
-        out.id = r.id;
-        emit_data(r.op, link, std::move(out), st);
-      }
-      for (const auto& [link, sub_pair] : r.reforwards) {
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = sub_pair.first;
-        out.body = sub_pair.second;
-        emit_data(r.op, link, std::move(out), st);
-      }
-      break;
-    case wal_record::kind::event_receipt:
-      // Needs the event payload, which only a duplicate message carries —
-      // replay_publish handles that path; client-origin receipts are not
-      // resumable (resume_client_ops skips them).
-      break;
-  }
-}
-
-void broker_daemon::replay_publish(int from, const wire_msg& m, op_state& st) {
-  // Events mutate no routing state and the cluster runs one operation at a
-  // time, so re-running the (const) handler against the recovered tables
-  // recomputes the original deliveries and forwards. Logical counters
-  // stay untouched: this is physical redo, not new work.
-  const event e(schema_, m.values);
-  broker_.handle_event(from, e, forwards_, st.delivered);
-  for (const int link : forwards_) {
-    wire_msg out;
-    out.type = msg_type::publish;
-    out.values = m.values;
-    emit_data(m.op, link, std::move(out), st);
-  }
-}
-
-void broker_daemon::emit_data(std::uint64_t op, int link, wire_msg m, op_state& st) {
-  auto [next, first] = st.next_seq.try_emplace(link, 0);
-  if (first) next->second = earlier_sends(op, st, link);
-  m.op = op;
-  m.seq = next->second++;
-  ++st.pending_acks;
-  auto& slot = peers_[link];
-  slot.unacked.push_back({op, m.seq, m, {op, st.parent_link, st.parent_seq}});
-  if (slot.c != nullptr) queue_bytes(*slot.c, frame_msg(m));
-  // else: the peer is down; the ledger entry goes out on reconnect.
-}
-
-std::uint64_t broker_daemon::earlier_sends(std::uint64_t op, const op_state& st,
-                                          int link) const {
-  // Per-op per-link seqs are a function of the logged records, never of
-  // timing: an op's data messages all arrive over one link in seq order,
-  // and each one's sends continue where the previous ones' left off. So a
-  // fresh message and a crash-recovery re-emission number their sends
-  // identically, however far the earlier messages' subtrees have got.
-  std::uint64_t n = 0;
-  for (auto it = records_.lower_bound({op, st.parent_link, 0});
-       it != records_.end() && it->first < msg_key{op, st.parent_link, st.parent_seq}; ++it) {
-    const wal_record& r = it->second;
-    n += static_cast<std::uint64_t>(
-        std::count(r.forwarded_links.begin(), r.forwarded_links.end(), link) +
-        std::count(r.withdrawn_links.begin(), r.withdrawn_links.end(), link) +
-        std::count_if(r.reforwards.begin(), r.reforwards.end(),
-                      [link](const auto& rf) { return rf.first == link; }));
-  }
-  return n;
-}
-
-void broker_daemon::handle_ack(int from, const wire_msg& m) {
-  auto& slot = peers_[from];
-  const auto it = std::find_if(slot.unacked.begin(), slot.unacked.end(),
-                               [&](const ledger_entry& e) {
-                                 return e.op == m.op && e.seq == m.seq;
-                               });
-  if (it == slot.unacked.end()) return;  // stale re-ack of an already-acked send
-  const msg_key owner = it->owner;
-  slot.unacked.erase(it);
-  const auto ait = active_.find(owner);
-  if (ait == active_.end()) return;
-  op_state& st = *ait->second;
-  st.delivered.insert(st.delivered.end(), m.delivered.begin(), m.delivered.end());
-  if (--st.pending_acks == 0) {
-    auto owned = std::move(ait->second);
-    active_.erase(ait);
-    complete_op(m.op, *owned);
-  }
-}
-
-void broker_daemon::complete_op(std::uint64_t op, op_state& st) {
-  std::sort(st.delivered.begin(), st.delivered.end());
-  if (st.parent_link == kLocalLink) {
-    if (st.client != nullptr && !st.client->dead) {
-      wire_msg done;
-      done.type = msg_type::client_done;
-      done.op = op;
-      done.status = 0;
-      done.delivered = st.delivered;
-      queue_bytes(*st.client, frame_msg(done));
-    }
-    // else: orphaned client op (resumed after a crash, or the client went
-    // away) — the state converged; only the notification is dropped.
-  } else {
-    wire_msg ack;
-    ack.type = msg_type::ack;
-    ack.op = op;
-    ack.seq = st.parent_seq;
-    ack.delivered = st.delivered;
-    if (auto& slot = peers_[st.parent_link]; slot.c != nullptr)
-      queue_bytes(*slot.c, frame_msg(ack));
-    // else: the ack is lost with the dead connection; the parent replays
-    // on reconnect and the duplicate path re-acks.
-  }
-  maybe_checkpoint();
-}
-
-void broker_daemon::maybe_checkpoint() {
-  if (opts_.checkpoint_every == 0 || !active_.empty()) return;
-  if (wal_.records_since_snapshot() < opts_.checkpoint_every) return;
-  // Quiescent boundary: every op this daemon has seen is subtree-complete,
-  // so compacting cannot orphan a record a replay still needs — and the
-  // aux blob carries the dedup keys forward so the exactly-once window
-  // stays closed across the compaction.
-  broker_.checkpoint(wal_);
-  wal_.write_snapshot(broker_.snapshot(), dedup_aux());
-  records_.clear();
-  metrics_.wal_bytes = wal_.bytes_appended();
-}
-
-// --- dedup persistence and startup resume ------------------------------------
-
-std::vector<std::uint8_t> broker_daemon::dedup_aux() const {
-  std::vector<std::uint8_t> out;
-  std::uint64_t entries = 0;
-  for (const auto& [op, by_from] : applied_) entries += by_from.size();
-  codec::put_varint(out, entries);
-  for (const auto& [op, by_from] : applied_)
-    for (const auto& [from, next] : by_from) {
-      codec::put_varint(out, op);
-      codec::put_signed(out, from);
-      codec::put_varint(out, next);
-    }
-  return out;
-}
-
-void broker_daemon::load_dedup_aux(const std::vector<std::uint8_t>& aux) {
-  if (aux.empty()) return;
-  codec::basic_byte_reader<wal_error> in{aux.data(), aux.data() + aux.size()};
-  const auto entries = in.varint();
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    const auto op = in.varint();
-    const auto from = static_cast<int>(in.signed_varint());
-    const auto next = in.varint();
-    auto& pos = applied_[op][from];
-    if (next > pos) pos = next;
-  }
-  if (!in.done()) throw wal_error("wal: trailing bytes in dedup aux blob");
-}
-
-void broker_daemon::resume_client_ops() {
-  // Client-origin records have no parent to retransmit them: if their op
-  // was cut short by the crash, nothing else in the cluster will finish
-  // it. Re-emit them all (completed ones cost a few suppressed duplicates
-  // and empty re-acks; the incomplete one converges the cluster).
-  for (const auto& [key, r] : records_) {
-    if (r.from != kLocalLink) continue;
-    if (r.k == wal_record::kind::event_receipt) continue;  // no payload to replay
-    auto st = std::make_unique<op_state>();
-    st->parent_link = kLocalLink;
-    st->parent_seq = r.seq;
-    st->client = nullptr;  // its client died with the previous incarnation
-    replay_record(r, *st);
-    if (st->pending_acks > 0) active_[key] = std::move(st);
-    // pending == 0 (leaf broker): nothing to do — state is durable and
-    // there is no client to notify.
   }
 }
 

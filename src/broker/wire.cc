@@ -14,7 +14,7 @@ using codec::kFrameHeader;
 // Metrics travel as a counted list of varints in declaration order, so a
 // field added to network_metrics shows up here (and in the count check)
 // exactly once.
-constexpr std::size_t kMetricsFields = 26;
+constexpr std::size_t kMetricsFields = 25;
 
 void put_metrics(std::vector<std::uint8_t>& out, const network_metrics& m) {
   const std::uint64_t fields[kMetricsFields] = {
@@ -23,8 +23,8 @@ void put_metrics(std::vector<std::uint8_t>& out, const network_metrics& m) {
       m.covering_runs_probed, m.covering_probes_restarted, m.covering_probes_resumed,
       m.covering_tier_cold_probes, m.covering_tier_summary_answers,
       m.covering_tier_blocks_decoded, m.covering_tier_cold_hits, m.covering_maint_tombstones,
-      m.covering_maint_purged, m.covering_maint_compactions, m.retries,
-      m.duplicates_suppressed, m.recoveries, m.wal_bytes, m.reconnects, m.heartbeats_missed,
+      m.covering_maint_purged, m.covering_maint_compactions, m.duplicates_suppressed,
+      m.recoveries, m.wal_bytes, m.reconnects, m.heartbeats_missed,
       m.bytes_on_wire, m.partial_writes};
   codec::put_varint(out, kMetricsFields);
   for (const auto f : fields) codec::put_varint(out, f);
@@ -53,14 +53,13 @@ network_metrics read_metrics(wire_reader& in) {
   m.covering_maint_tombstones = f[15];
   m.covering_maint_purged = f[16];
   m.covering_maint_compactions = f[17];
-  m.retries = f[18];
-  m.duplicates_suppressed = f[19];
-  m.recoveries = f[20];
-  m.wal_bytes = f[21];
-  m.reconnects = f[22];
-  m.heartbeats_missed = f[23];
-  m.bytes_on_wire = f[24];
-  m.partial_writes = f[25];
+  m.duplicates_suppressed = f[18];
+  m.recoveries = f[19];
+  m.wal_bytes = f[20];
+  m.reconnects = f[21];
+  m.heartbeats_missed = f[22];
+  m.bytes_on_wire = f[23];
+  m.partial_writes = f[24];
   return m;
 }
 

@@ -8,16 +8,27 @@ namespace subcover {
 
 cli_flags::cli_flags(int argc, const char* const* argv)
     : program_(argc > 0 ? argv[0] : "program") {
+  std::string bare;  // the previous argument, if it was a bare --flag
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      errors_.push_back("expected --name[=value], got '" + arg + "'");
+      if (bare.empty()) {
+        errors_.push_back("expected --name[=value], got '" + arg + "'");
+      } else {
+        // "--subs 1200": one error naming the intended spelling; the bare
+        // flag is not taken as boolean true.
+        values_.erase(bare);
+        errors_.push_back("expected --" + bare + "=" + arg + ", got '--" + bare + " " + arg + "'");
+      }
+      bare.clear();
       continue;
     }
     arg = arg.substr(2);
+    bare.clear();
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
       values_[arg] = "true";
+      bare = arg;
     } else {
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }

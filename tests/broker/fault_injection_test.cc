@@ -1,9 +1,10 @@
-// Chaos tests for the fault-injection engine (network_options::faults):
-// under seeded drop/duplicate/delay/crash schedules, every operation must
+// Chaos tests for the fault fabric (network_options::faults), which runs
+// the TCP daemon's reliability protocol (broker/broker_node.h) per broker:
+// under seeded link-reset/delay/crash schedules, every operation must
 // converge to the exact deterministic-mode outcome — per-publish delivery
 // sets, final routing tables, forwarded sets, and every logical metric
 // counter (same_counters) — with the injected faults visible only in the
-// fault-transport counters (retries, duplicates_suppressed, recoveries,
+// reliability counters (reconnects, duplicates_suppressed, recoveries,
 // wal_bytes).
 #include <gtest/gtest.h>
 
@@ -89,20 +90,20 @@ TEST(FaultInjection, FaultFreePathMatchesDeterministicExactly) {
   // faults set but every probability zero: the reliability machinery (acks,
   // sequencing, WAL appends) runs, yet nothing fires — the outcome and the
   // logical counters must be byte-identical to deterministic mode, and
-  // every fault-transport counter except wal_bytes must stay zero.
+  // every reliability counter except wal_bytes must stay zero.
   const schema s = workload::make_uniform_schema(2, 8);
   network det(topology::balanced_tree(2, 3), s, base_opts());
   network faulty(topology::balanced_tree(2, 3), s, faulty_opts(fault_options{}));
   run_identical_churn(det, faulty, s, 101, 120);
   expect_same_final_state(det, faulty);
-  EXPECT_EQ(faulty.metrics().retries, 0U);
+  EXPECT_EQ(faulty.metrics().reconnects, 0U);
   EXPECT_EQ(faulty.metrics().duplicates_suppressed, 0U);
   EXPECT_EQ(faulty.metrics().recoveries, 0U);
   EXPECT_GT(faulty.metrics().wal_bytes, 0U);
 }
 
 TEST(FaultInjection, ChaosConvergesToDeterministicAcrossSeeds) {
-  // The acceptance gate: drop + duplicate + delay + crash all enabled, five
+  // The acceptance gate: link resets + delay + crash all enabled, five
   // seeds. Completed operations must land on the exact deterministic-mode
   // state every time.
   const schema s = workload::make_uniform_schema(2, 8);
@@ -110,7 +111,6 @@ TEST(FaultInjection, ChaosConvergesToDeterministicAcrossSeeds) {
     fault_options f;
     f.seed = seed;
     f.drop_prob = 0.05;
-    f.duplicate_prob = 0.05;
     f.delay_prob = 0.3;
     f.crash_prob = 0.01;
     f.checkpoint_every = 32;
@@ -118,18 +118,18 @@ TEST(FaultInjection, ChaosConvergesToDeterministicAcrossSeeds) {
     network faulty(topology::balanced_tree(2, 3), s, faulty_opts(f));
     run_identical_churn(det, faulty, s, 1000 + seed, 150);
     expect_same_final_state(det, faulty);
-    // The schedule must actually have exercised the machinery: five seeds
-    // of 5% drop / 5% duplicate over thousands of transmissions cannot all
-    // be clean runs.
-    EXPECT_GT(faulty.metrics().retries, 0U) << "seed " << seed;
+    // The schedule must actually have exercised the machinery: 5% link
+    // resets over thousands of transmissions replay ledgers, and replays
+    // are suppressed as duplicates.
+    EXPECT_GT(faulty.metrics().reconnects, 0U) << "seed " << seed;
     EXPECT_GT(faulty.metrics().duplicates_suppressed, 0U) << "seed " << seed;
   }
 }
 
 TEST(FaultInjection, CrashRecoveryConvergesMidOperation) {
-  // Crash-heavy schedule, no message-level faults: brokers go down mid-
-  // operation and restart from their WALs; the operation's retransmissions
-  // must carry it to the exact deterministic outcome.
+  // Crash-heavy schedule, no link resets of their own: brokers go down mid-
+  // operation and restart from their WALs; ledger replay and re-emission
+  // must carry the operation to the exact deterministic outcome.
   const schema s = workload::make_uniform_schema(2, 8);
   fault_options f;
   f.seed = 99;
@@ -140,7 +140,7 @@ TEST(FaultInjection, CrashRecoveryConvergesMidOperation) {
   run_identical_churn(det, faulty, s, 2020, 150);
   expect_same_final_state(det, faulty);
   EXPECT_GT(faulty.metrics().recoveries, 0U);
-  EXPECT_GT(faulty.metrics().duplicates_suppressed, 0U);  // the ack-lost crash variant
+  EXPECT_GT(faulty.metrics().duplicates_suppressed, 0U);  // the crash-after-logging variant
 }
 
 TEST(FaultInjection, RecoverBrokerBetweenOperationsIsByteIdentical) {
@@ -192,11 +192,10 @@ TEST(FaultInjection, CheckpointBoundsReplayLength) {
   EXPECT_LT(faulty.recover_broker(1), 4U);
 }
 
-TEST(FaultInjection, RetryExhaustionThrows) {
+TEST(FaultInjection, LinkResetExhaustionThrows) {
   const schema s = workload::make_uniform_schema(1, 8);
   fault_options f;
-  f.drop_prob = 1.0;  // the fabric eats every inter-broker transmission
-  f.max_retries = 2;
+  f.drop_prob = 1.0;  // every inter-broker transmission resets its link
   network faulty(topology::line(2), s, faulty_opts(f));
   EXPECT_THROW((void)faulty.subscribe(0, subscription::match_all(s)), std::runtime_error);
 }
@@ -215,10 +214,8 @@ TEST(FaultInjection, BadFaultOptionsThrow) {
   const schema s = workload::make_uniform_schema(1, 8);
   for (auto mutate : std::vector<void (*)(fault_options&)>{
            [](fault_options& f) { f.drop_prob = 1.5; },
-           [](fault_options& f) { f.duplicate_prob = -0.1; },
+           [](fault_options& f) { f.delay_prob = -0.1; },
            [](fault_options& f) { f.crash_prob = 2.0; },
-           [](fault_options& f) { f.max_retries = -1; },
-           [](fault_options& f) { f.ack_timeout = 0; },
            [](fault_options& f) { f.max_delay = 0; },
        }) {
     fault_options f;

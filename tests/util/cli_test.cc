@@ -60,11 +60,19 @@ TEST(CliFlags, RejectsBadBool) {
 }
 
 TEST(CliFlags, RejectsNonFlagArgument) {
-  // "--workers 4": the flag reads as bare boolean true, "4" as a stray word.
-  auto f = make({"--workers", "4"});
+  auto f = make({"4"});
   (void)f.get_string("workers", "0");
   EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2),
               "expected --name\\[=value\\], got '4'(.|\n)*accepted flags: --workers=0");
+}
+
+TEST(CliFlags, BareFlagThenWordSuggestsEquals) {
+  // "--subs 1200": one error suggesting --subs=1200; the bare flag is not
+  // recorded as true, so no second "expects an integer, got 'true'".
+  auto f = make({"--subs", "1200"});
+  EXPECT_EQ(f.get_int("subs", 7), 7);
+  EXPECT_EXIT(f.finish(), ::testing::ExitedWithCode(2),
+              "^prog: expected --subs=1200, got '--subs 1200'\naccepted flags: --subs=7");
 }
 
 TEST(CliFlags, FinishRejectsUnknownFlags) {
